@@ -1,5 +1,5 @@
 //! A real multi-thread CkDirect channel: unsynchronized one-sided puts with
-//! out-of-band sentinel detection, expressed soundly in Rust atomics.
+//! out-of-band sentinel detection.
 //!
 //! This is the wall-clock counterpart of the simulated registry. The
 //! mechanism is the paper's Infiniband implementation translated to shared
@@ -7,7 +7,7 @@
 //!
 //! * the receiver owns a fixed-size buffer and **arms** it by writing the
 //!   out-of-band pattern into its final word;
-//! * a put writes the payload directly into the receiver's buffer — the
+//! * a put copies the payload directly into the receiver's buffer — the
 //!   final payload word, which overwrites the pattern, is stored **last**
 //!   with `Release` ordering, exactly as an in-order RDMA write delivers its
 //!   last byte last;
@@ -18,11 +18,36 @@
 //! the only synchronization is the release/acquire pair on the sentinel
 //! word, mirroring "the application's own synchronization is sufficient".
 //!
-//! The buffer is a `[AtomicU64]`, so the sentinel genuinely *overlaps the
-//! data* like the paper's trick (no separate flag word), while every access
-//! remains a data-race-free atomic operation. Non-sentinel words use
-//! `Relaxed` ordering: they are ordered by the final `Release`/`Acquire`
-//! pair, not by their own accesses.
+//! # Ownership protocol
+//!
+//! The buffer is a `[AtomicU64]` whose final word is the sentinel, so the
+//! sentinel genuinely *overlaps the data* like the paper's trick (no
+//! separate flag word). The sentinel is written only by atomic stores and
+//! polled by atomic loads; apart from it, only the receiver's separate
+//! `armed_gen` counter is atomic. The payload words are plain memory — one
+//! bulk copy in, plain loads out — because at any moment exactly one side
+//! owns them, and ownership changes hands only across one of two
+//! happens-before edges:
+//!
+//! * **sender → receiver:** the sender's `Release` store of the final word
+//!   pairs with the receiver's `Acquire` poll that sees it differ from the
+//!   pattern;
+//! * **receiver → sender:** the receiver's `Release` store of `armed_gen`
+//!   in `arm()` pairs with the sender's `Acquire` load before its next put.
+//!
+//! The protocol has one precondition, enforced here rather than left to the
+//! caller: the receiver can hand the buffer back only after it took it.
+//! [`DirectReceiver::arm`] (and [`CheckedReceiver::arm`]) bump the
+//! generation only after an observed arrival and are a no-op otherwise; an
+//! unconditional re-arm would let a sender start writing while the receiver
+//! later reads an earlier landing. Together with the generation check on the
+//! sender, this makes the safe API free of data races; the `unsafe` plain
+//! accesses stay inside this module.
+//!
+//! When a poll first observes an arrival, the receiver issues a software
+//! prefetch of every landed cache line (x86_64 `prefetcht0`, nothing
+//! elsewhere), so the lines the sender's core just wrote start moving before
+//! the first read needs them.
 //!
 //! Misuse the paper leaves to the user is *checked* here: a second put
 //! before the receiver re-arms returns [`PutError::WouldOverwrite`] (via a
@@ -59,7 +84,8 @@ impl std::fmt::Display for PutError {
 impl std::error::Error for PutError {}
 
 struct Shared {
-    /// The receive buffer, including the sentinel in its final word.
+    /// The receive buffer, including the sentinel in its final word. Only
+    /// the sentinel is written and polled atomically; see the module docs.
     words: Box<[AtomicU64]>,
     /// The out-of-band pattern.
     oob: u64,
@@ -67,6 +93,154 @@ struct Shared {
     /// Published with `Release` by the receiver; the sender `Acquire`-reads
     /// it to know the buffer is writable again.
     armed_gen: AtomicU64,
+}
+
+impl Shared {
+    /// A zeroed buffer of `nwords` words, armed for generation 1.
+    fn armed(nwords: usize, oob: u64) -> Arc<Shared> {
+        let words: Box<[AtomicU64]> = (0..nwords).map(|_| AtomicU64::new(0)).collect();
+        words[nwords - 1].store(oob, Ordering::Relaxed);
+        Arc::new(Shared {
+            words,
+            oob,
+            armed_gen: AtomicU64::new(1),
+        })
+    }
+
+    fn sentinel(&self) -> &AtomicU64 {
+        &self.words[self.words.len() - 1]
+    }
+
+    /// Claim the receiver's latest arming, copy `body` into the leading
+    /// payload words (leaving word `skip` stale, to model a torn write),
+    /// then publish `last` into the sentinel word with `Release`.
+    fn land(
+        &self,
+        put_gen: &mut u64,
+        body: &[u8],
+        skip: Option<usize>,
+        last: u64,
+    ) -> Result<(), PutError> {
+        // A plain store to the sentinel word would race with the poll.
+        assert!(
+            body.len() / 8 < self.words.len(),
+            "body overlaps the sentinel"
+        );
+        // The receiver publishes `armed_gen = n` after re-arming; seeing it
+        // (Acquire) guarantees the receiver is done reading generation n-1.
+        let armed = self.armed_gen.load(Ordering::Acquire);
+        if armed <= *put_gen {
+            return Err(PutError::WouldOverwrite);
+        }
+        *put_gen = armed;
+        let dst = &self.words[..body.len() / 8];
+        for (i, (w, chunk)) in dst.iter().zip(body.chunks_exact(8)).enumerate() {
+            if skip == Some(i) {
+                continue;
+            }
+            let v = u64::from_le_bytes(chunk.try_into().unwrap());
+            // SAFETY: receiver → sender edge. The Acquire load above saw an
+            // `armed_gen` newer than our previous put, so every receiver
+            // read of that landing happens-before this write; the receiver
+            // reads no payload word again until its Acquire poll sees the
+            // Release store below. A channel has one sender, which is not
+            // `Clone` and owns `put_gen`, so no other write can overlap.
+            unsafe { w.as_ptr().write(v) };
+        }
+        // Publish: the final word replaces the sentinel. Release orders
+        // every plain store above before the receiver's Acquire poll.
+        self.sentinel().store(last, Ordering::Release);
+        Ok(())
+    }
+
+    /// Hint the CPU to start pulling every landed cache line toward this
+    /// core. Stepping by a line's eight words from word 0 reaches every
+    /// line of the buffer except, when the buffer is not line-aligned, the
+    /// final one — which holds the sentinel the poll has just loaded.
+    #[inline]
+    fn prefetch(&self) {
+        #[cfg(target_arch = "x86_64")]
+        for w in self.words.iter().step_by(8) {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: a prefetch is a hint, not a memory access: it cannot
+            // fault or take part in a data race. SSE is baseline x86_64.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(w.as_ptr().cast_const().cast::<i8>()) };
+        }
+    }
+}
+
+/// The receiving end shared by both channel flavours: the armed generation
+/// and whether the receiver currently owns the payload words.
+struct Landing {
+    shared: Arc<Shared>,
+    /// Generations this receiver has armed.
+    armed: u64,
+    /// True from an observed arrival until the next re-arm: the span in
+    /// which the receiver owns the payload words and reads them as plain
+    /// memory.
+    holding_data: bool,
+}
+
+impl Landing {
+    fn new(shared: Arc<Shared>) -> Landing {
+        Landing {
+            shared,
+            armed: 1,
+            holding_data: false,
+        }
+    }
+
+    /// One `Acquire` poll of the sentinel. On an arrival, take ownership of
+    /// the payload words, prefetch them, and return the final word.
+    fn take_arrival(&mut self) -> Option<u64> {
+        debug_assert!(!self.holding_data);
+        let last = self.shared.sentinel().load(Ordering::Acquire);
+        if last == self.shared.oob {
+            return None;
+        }
+        self.holding_data = true;
+        self.shared.prefetch();
+        Some(last)
+    }
+
+    /// Copy the leading `dst.len() / 8` words of the landed message out.
+    fn copy_out(&self, dst: &mut [u8]) {
+        assert!(self.holding_data, "copy_out without an observed arrival");
+        let src = &self.shared.words[..dst.len() / 8];
+        for (chunk, w) in dst.chunks_exact_mut(8).zip(src) {
+            // SAFETY: sender → receiver edge. `holding_data` is set only
+            // after `take_arrival`'s Acquire load saw the sender's Release
+            // store of the sentinel, which follows all of that put's plain
+            // writes; the sender cannot write again until `rearm` publishes
+            // a new generation, which needs `&mut self`.
+            chunk.copy_from_slice(&unsafe { w.as_ptr().read() }.to_le_bytes());
+        }
+    }
+
+    /// Hand the buffer back: write the pattern into the sentinel word and
+    /// publish the next generation. Callers hold an observed arrival and
+    /// are done reading it; the checked receiver calls this directly to
+    /// discard a corrupt or duplicate landing.
+    fn rearm(&mut self) {
+        debug_assert!(self.holding_data);
+        // Relaxed is fine for the sentinel itself: the Release below on
+        // armed_gen orders it before the sender's next Acquire.
+        self.shared
+            .sentinel()
+            .store(self.shared.oob, Ordering::Relaxed);
+        self.armed += 1;
+        self.holding_data = false;
+        self.shared.armed_gen.store(self.armed, Ordering::Release);
+    }
+
+    /// The public re-arm: a no-op unless an arrival has been observed, so a
+    /// stray `arm()` can never reopen the buffer under a landing the
+    /// receiver has not yet taken.
+    fn arm(&mut self) {
+        if self.holding_data {
+            self.rearm();
+        }
+    }
 }
 
 /// Lifetime counters of one side of a real-thread channel (observability;
@@ -90,11 +264,7 @@ pub struct DirectSender {
 
 /// The receiver half: owns the buffer, arms it, and polls for arrivals.
 pub struct DirectReceiver {
-    shared: Arc<Shared>,
-    /// Generations this receiver has armed.
-    armed: u64,
-    /// True between a detected arrival and the next `arm`.
-    holding_data: bool,
+    rx: Landing,
     stats: SideStats,
 }
 
@@ -107,15 +277,7 @@ pub struct DirectReceiver {
 pub fn channel(size: usize, oob: u64) -> (DirectSender, DirectReceiver) {
     assert!(size >= 8, "channel needs at least the 8-byte sentinel");
     assert_eq!(size % 8, 0, "channel size must be a multiple of 8");
-    let nwords = size / 8;
-    let words: Box<[AtomicU64]> = (0..nwords).map(|_| AtomicU64::new(0)).collect();
-    // arm generation 1 up front
-    words[nwords - 1].store(oob, Ordering::Relaxed);
-    let shared = Arc::new(Shared {
-        words,
-        oob,
-        armed_gen: AtomicU64::new(1),
-    });
+    let shared = Shared::armed(size / 8, oob);
     (
         DirectSender {
             shared: shared.clone(),
@@ -123,9 +285,7 @@ pub fn channel(size: usize, oob: u64) -> (DirectSender, DirectReceiver) {
             stats: SideStats::default(),
         },
         DirectReceiver {
-            shared,
-            armed: 1,
-            holding_data: false,
+            rx: Landing::new(shared),
             stats: SideStats::default(),
         },
     )
@@ -137,36 +297,23 @@ impl DirectSender {
         self.shared.words.len() * 8
     }
 
-    /// One-sided put: write `payload` into the receiver's buffer and
-    /// publish it by overwriting the sentinel word last.
+    /// One-sided put: copy `payload` into the receiver's buffer and publish
+    /// it by overwriting the sentinel word last.
     ///
     /// Returns without blocking; the receiver discovers the data by
-    /// polling. No allocation, no locks, one `Release` store.
+    /// polling. No allocation, no locks, one bulk copy and one `Release`
+    /// store.
     pub fn put(&mut self, payload: &[u8]) -> Result<(), PutError> {
         self.stats.attempts += 1;
-        let words = &self.shared.words;
-        if payload.len() != words.len() * 8 {
+        if payload.len() != self.size() {
             return Err(PutError::SizeMismatch);
         }
-        let last = u64::from_le_bytes(payload[payload.len() - 8..].try_into().unwrap());
+        let (body, tail) = payload.split_at(payload.len() - 8);
+        let last = u64::from_le_bytes(tail.try_into().unwrap());
         if last == self.shared.oob {
             return Err(PutError::OobCollision);
         }
-        // The receiver publishes `armed_gen = n` after re-arming; seeing it
-        // (Acquire) guarantees the receiver is done reading generation n-1.
-        let armed = self.shared.armed_gen.load(Ordering::Acquire);
-        if armed <= self.put_gen {
-            return Err(PutError::WouldOverwrite);
-        }
-        self.put_gen = armed;
-        let n = words.len();
-        for (i, chunk) in payload[..payload.len() - 8].chunks_exact(8).enumerate() {
-            let w = u64::from_le_bytes(chunk.try_into().unwrap());
-            words[i].store(w, Ordering::Relaxed);
-        }
-        // Publish: the final payload word replaces the sentinel. Release
-        // makes every earlier Relaxed store visible to the Acquire poller.
-        words[n - 1].store(last, Ordering::Release);
+        self.shared.land(&mut self.put_gen, body, None, last)?;
         self.stats.completed += 1;
         Ok(())
     }
@@ -186,7 +333,7 @@ impl DirectSender {
 impl DirectReceiver {
     /// Message size in bytes.
     pub fn size(&self) -> usize {
-        self.shared.words.len() * 8
+        self.rx.shared.words.len() * 8
     }
 
     /// Poll once: if a put has landed since the last `arm`, copy the
@@ -195,42 +342,29 @@ impl DirectReceiver {
     /// One `Acquire` load on the empty path — this is the per-handle cost
     /// the paper's polling queue pays every scheduler iteration.
     pub fn try_recv(&mut self) -> Option<Vec<u8>> {
-        if self.holding_data {
+        if self.rx.holding_data {
             return None; // already delivered; must arm before the next one
         }
         self.stats.attempts += 1;
-        let words = &self.shared.words;
-        let n = words.len();
-        let last = words[n - 1].load(Ordering::Acquire);
-        if last == self.shared.oob {
-            return None;
-        }
-        self.holding_data = true;
+        let last = self.rx.take_arrival()?;
         self.stats.completed += 1;
-        let mut out = vec![0u8; n * 8];
-        for i in 0..n - 1 {
-            let w = words[i].load(Ordering::Relaxed);
-            out[i * 8..(i + 1) * 8].copy_from_slice(&w.to_le_bytes());
-        }
-        out[(n - 1) * 8..].copy_from_slice(&last.to_le_bytes());
+        let mut out = vec![0u8; self.size()];
+        let (body, tail) = out.split_at_mut(self.size() - 8);
+        self.rx.copy_out(body);
+        tail.copy_from_slice(&last.to_le_bytes());
         Some(out)
     }
 
     /// Poll without copying: returns `true` when data has landed, after
     /// which [`DirectReceiver::with_data`] grants in-place access.
     pub fn poll(&mut self) -> bool {
-        if self.holding_data {
+        if self.rx.holding_data {
             return true;
         }
         self.stats.attempts += 1;
-        let n = self.shared.words.len();
-        if self.shared.words[n - 1].load(Ordering::Acquire) != self.shared.oob {
-            self.holding_data = true;
-            self.stats.completed += 1;
-            true
-        } else {
-            false
-        }
+        let landed = self.rx.take_arrival().is_some();
+        self.stats.completed += u64::from(landed);
+        landed
     }
 
     /// Sentinel checks and detected arrivals so far (observability).
@@ -244,11 +378,11 @@ impl DirectReceiver {
     /// sender is not writing concurrently.
     pub fn with_data<R>(&mut self, f: impl FnOnce(WordView<'_>) -> R) -> R {
         assert!(
-            self.holding_data,
+            self.rx.holding_data,
             "with_data before poll() observed an arrival"
         );
         f(WordView {
-            words: &self.shared.words,
+            words: &self.rx.shared.words,
         })
     }
 
@@ -263,22 +397,19 @@ impl DirectReceiver {
         }
     }
 
-    /// Re-arm the channel: write the pattern back into the sentinel word
-    /// and publish readiness to the sender. The receiver must be done with
-    /// the data; the equivalent of `CkDirect_ready`.
+    /// Re-arm the channel after consuming an arrival: write the pattern
+    /// back into the sentinel word and publish readiness to the sender —
+    /// the equivalent of `CkDirect_ready`. A no-op unless `poll`/`try_recv`
+    /// has observed an arrival since the last re-arm: there is nothing to
+    /// hand back, and reopening the buffer early would let the sender
+    /// overwrite a landing the receiver has yet to read.
     pub fn arm(&mut self) {
-        let n = self.shared.words.len();
-        // Relaxed is fine for the sentinel itself: the Release below on
-        // armed_gen orders it before the sender's next Acquire.
-        self.shared.words[n - 1].store(self.shared.oob, Ordering::Relaxed);
-        self.armed += 1;
-        self.holding_data = false;
-        self.shared.armed_gen.store(self.armed, Ordering::Release);
+        self.rx.arm();
     }
 
     /// Number of times this channel has been armed.
     pub fn generation(&self) -> u64 {
-        self.armed
+        self.rx.armed
     }
 }
 
@@ -340,9 +471,7 @@ pub struct CheckedSender {
 
 /// Receiver half of a checked channel.
 pub struct CheckedReceiver {
-    shared: Arc<Shared>,
-    armed: u64,
-    holding_data: bool,
+    rx: Landing,
     /// Highest sequence number consumed.
     last_seq: u32,
     stats: CheckedStats,
@@ -357,14 +486,7 @@ pub struct CheckedReceiver {
 pub fn channel_checked(size: usize, oob: u64) -> (CheckedSender, CheckedReceiver) {
     assert!(size >= 8, "channel needs at least one payload word");
     assert_eq!(size % 8, 0, "channel size must be a multiple of 8");
-    let nwords = size / 8 + 1; // payload + protocol word
-    let words: Box<[AtomicU64]> = (0..nwords).map(|_| AtomicU64::new(0)).collect();
-    words[nwords - 1].store(oob, Ordering::Relaxed);
-    let shared = Arc::new(Shared {
-        words,
-        oob,
-        armed_gen: AtomicU64::new(1),
-    });
+    let shared = Shared::armed(size / 8 + 1, oob); // payload + protocol word
     (
         CheckedSender {
             shared: shared.clone(),
@@ -373,9 +495,7 @@ pub fn channel_checked(size: usize, oob: u64) -> (CheckedSender, CheckedReceiver
             last_payload: Vec::new(),
         },
         CheckedReceiver {
-            shared,
-            armed: 1,
-            holding_data: false,
+            rx: Landing::new(shared),
             last_seq: 0,
             stats: CheckedStats::default(),
         },
@@ -386,29 +506,6 @@ impl CheckedSender {
     /// Payload size in bytes (the wire image adds one protocol word).
     pub fn size(&self) -> usize {
         (self.shared.words.len() - 1) * 8
-    }
-
-    fn claim_arming(&mut self) -> Result<(), PutError> {
-        let armed = self.shared.armed_gen.load(Ordering::Acquire);
-        if armed <= self.put_gen {
-            return Err(PutError::WouldOverwrite);
-        }
-        self.put_gen = armed;
-        Ok(())
-    }
-
-    /// Store payload words (optionally skipping `skip` to model a torn
-    /// write), then publish `proto` as the protocol word.
-    fn store(&self, payload: &[u8], skip: Option<usize>, proto: u64) {
-        let words = &self.shared.words;
-        for (i, chunk) in payload.chunks_exact(8).enumerate() {
-            if skip == Some(i) {
-                continue;
-            }
-            let w = u64::from_le_bytes(chunk.try_into().unwrap());
-            words[i].store(w, Ordering::Relaxed);
-        }
-        words[words.len() - 1].store(proto, Ordering::Release);
     }
 
     fn proto_word(&self, seq: u32, payload: &[u8]) -> Result<u64, PutError> {
@@ -422,17 +519,29 @@ impl CheckedSender {
         Ok(proto)
     }
 
+    /// Land `wire` (optionally missing word `skip`) under protocol word
+    /// `proto` as the next logical put, remembering `payload` for replays.
+    fn put_next(
+        &mut self,
+        payload: &[u8],
+        wire: &[u8],
+        skip: Option<usize>,
+        proto: u64,
+    ) -> Result<(), PutError> {
+        self.shared.land(&mut self.put_gen, wire, skip, proto)?;
+        self.seq += 1;
+        self.last_payload.clear();
+        self.last_payload.extend_from_slice(payload);
+        Ok(())
+    }
+
     /// A clean put: next sequence number, correct CRC.
     pub fn put(&mut self, payload: &[u8]) -> Result<(), PutError> {
         if payload.len() != self.size() {
             return Err(PutError::SizeMismatch);
         }
         let proto = self.proto_word(self.seq + 1, payload)?;
-        self.claim_arming()?;
-        self.seq += 1;
-        self.last_payload = payload.to_vec();
-        self.store(payload, None, proto);
-        Ok(())
+        self.put_next(payload, payload, None, proto)
     }
 
     /// Fault hook: the fabric flips bits in payload word `damage_word`
@@ -446,19 +555,15 @@ impl CheckedSender {
         }
         let npayload = payload.len() / 8;
         assert!(damage_word <= npayload, "damage_word out of range");
-        let mut proto = self.proto_word(self.seq + 1, payload)?;
-        self.claim_arming()?;
-        self.seq += 1;
-        self.last_payload = payload.to_vec();
+        let proto = self.proto_word(self.seq + 1, payload)?;
         if damage_word == npayload {
-            proto ^= 1; // damaged CRC field; still != oob in practice
-            self.store(payload, None, proto);
+            // damaged CRC field; still != oob in practice
+            self.put_next(payload, payload, None, proto ^ 1)
         } else {
             let mut damaged = payload.to_vec();
             damaged[damage_word * 8] ^= 0x01;
-            self.store(&damaged, None, proto);
+            self.put_next(payload, &damaged, None, proto)
         }
-        Ok(())
     }
 
     /// Fault hook: a torn write — the protocol word lands but payload word
@@ -473,11 +578,7 @@ impl CheckedSender {
             "missing_word out of range"
         );
         let proto = self.proto_word(self.seq + 1, payload)?;
-        self.claim_arming()?;
-        self.seq += 1;
-        self.last_payload = payload.to_vec();
-        self.store(payload, Some(missing_word), proto);
-        Ok(())
+        self.put_next(payload, payload, Some(missing_word), proto)
     }
 
     /// Fault hook: the fabric replays the last put (same payload, same
@@ -485,14 +586,9 @@ impl CheckedSender {
     /// filter must suppress it.
     pub fn put_duplicate(&mut self) -> Result<(), PutError> {
         assert!(self.seq > 0, "nothing to replay yet");
-        // no early return may consume the payload: a rejected replay must
-        // leave the sender able to try again
         let proto = self.proto_word(self.seq, &self.last_payload)?;
-        self.claim_arming()?;
-        let payload = std::mem::take(&mut self.last_payload);
-        self.store(&payload, None, proto);
-        self.last_payload = payload;
-        Ok(())
+        self.shared
+            .land(&mut self.put_gen, &self.last_payload, None, proto)
     }
 
     /// Retransmit the last put unchanged (same seq, correct CRC) — what a
@@ -511,17 +607,19 @@ impl CheckedSender {
 impl CheckedReceiver {
     /// Payload size in bytes.
     pub fn size(&self) -> usize {
-        (self.shared.words.len() - 1) * 8
+        (self.rx.shared.words.len() - 1) * 8
     }
 
-    /// Re-arm after consuming a delivered message (corrupt and duplicate
-    /// landings re-arm themselves).
+    /// Re-arm after consuming a delivered message; a no-op unless
+    /// `try_recv` has returned [`CheckedRecv::Data`] since the last re-arm
+    /// (corrupt and duplicate landings re-arm themselves).
     pub fn arm(&mut self) {
-        let n = self.shared.words.len();
-        self.shared.words[n - 1].store(self.shared.oob, Ordering::Relaxed);
-        self.armed += 1;
-        self.holding_data = false;
-        self.shared.armed_gen.store(self.armed, Ordering::Release);
+        self.rx.arm();
+    }
+
+    /// Number of times this channel has been armed, self-re-arms included.
+    pub fn generation(&self) -> u64 {
+        self.rx.armed
     }
 
     /// Receiver-side counters.
@@ -532,34 +630,27 @@ impl CheckedReceiver {
     /// Poll once. Integrity and replay checks happen here, at the receiver,
     /// from the landed bytes alone — the sender gets no say.
     pub fn try_recv(&mut self) -> CheckedRecv {
-        if self.holding_data {
+        if self.rx.holding_data {
             return CheckedRecv::Empty;
         }
-        let words = &self.shared.words;
-        let n = words.len();
-        let proto = words[n - 1].load(Ordering::Acquire);
-        if proto == self.shared.oob {
+        let Some(proto) = self.rx.take_arrival() else {
             return CheckedRecv::Empty;
-        }
+        };
         let seq = (proto >> 32) as u32;
         let crc = proto as u32;
-        let mut payload = vec![0u8; (n - 1) * 8];
-        for i in 0..n - 1 {
-            let w = words[i].load(Ordering::Relaxed);
-            payload[i * 8..(i + 1) * 8].copy_from_slice(&w.to_le_bytes());
-        }
+        let mut payload = vec![0u8; self.size()];
+        self.rx.copy_out(&mut payload);
         if crc32(&payload) != crc {
             self.stats.corrupt_detected += 1;
-            self.arm(); // discard + re-arm: the retransmission can land
+            self.rx.rearm(); // discard + re-arm: the retransmission can land
             return CheckedRecv::Corrupt;
         }
         if seq <= self.last_seq {
             self.stats.dups_suppressed += 1;
-            self.arm();
+            self.rx.rearm();
             return CheckedRecv::Duplicate;
         }
         self.last_seq = seq;
-        self.holding_data = true;
         self.stats.delivered += 1;
         CheckedRecv::Data(payload)
     }
@@ -576,7 +667,9 @@ impl CheckedReceiver {
     }
 }
 
-/// Zero-copy view of a landed message as little-endian words.
+/// Zero-copy view of a landed message as little-endian words. Only
+/// [`DirectReceiver::with_data`] hands one out, and only while the receiver
+/// holds an observed arrival.
 pub struct WordView<'a> {
     words: &'a [AtomicU64],
 }
@@ -593,8 +686,15 @@ impl WordView<'_> {
     }
 
     /// Word `i` of the message.
+    #[inline]
     pub fn word(&self, i: usize) -> u64 {
-        self.words[i].load(Ordering::Relaxed)
+        let w = &self.words[i];
+        // SAFETY: sender → receiver edge. A view exists only inside
+        // `with_data`, which requires an arrival observed by an Acquire
+        // load of the sentinel (ordering after every write of that put) and
+        // holds `&mut DirectReceiver`, so `arm` — the only way to let the
+        // sender write again — cannot run while the view lives.
+        unsafe { w.as_ptr().read() }
     }
 
     /// The message's `f64` at word index `i` (payloads are commonly arrays
@@ -743,6 +843,71 @@ mod tests {
         rx.recv_spin();
         rx.arm();
         assert_eq!(rx.generation(), 2);
+    }
+
+    #[test]
+    fn arm_without_an_arrival_is_a_noop() {
+        let (mut tx, mut rx) = channel(16, OOB);
+        rx.arm(); // nothing has landed: nothing to hand back
+        assert_eq!(rx.generation(), 1);
+        tx.put(&[1u8; 16]).unwrap();
+        // landed but not yet observed: the buffer still belongs to the put
+        rx.arm();
+        assert_eq!(rx.generation(), 1, "a stray arm must not reopen the buffer");
+        assert_eq!(tx.put(&[2u8; 16]), Err(PutError::WouldOverwrite));
+        assert_eq!(
+            rx.try_recv().unwrap(),
+            vec![1u8; 16],
+            "first landing intact"
+        );
+        rx.arm();
+        rx.arm(); // the second arm has no arrival to consume
+        assert_eq!(rx.generation(), 2);
+        tx.put(&[2u8; 16]).unwrap();
+        assert_eq!(tx.put(&[3u8; 16]), Err(PutError::WouldOverwrite));
+        assert!(rx.poll());
+        rx.with_data(|v| assert_eq!(v.word(1), u64::from_le_bytes([2; 8])));
+    }
+
+    #[test]
+    fn checked_arm_without_an_arrival_is_a_noop() {
+        let (mut tx, mut rx) = channel_checked(16, OOB);
+        rx.arm();
+        assert_eq!(rx.generation(), 1);
+        tx.put(&[1u8; 16]).unwrap();
+        rx.arm();
+        assert_eq!(rx.generation(), 1, "a stray arm must not reopen the buffer");
+        assert_eq!(tx.put(&[2u8; 16]), Err(PutError::WouldOverwrite));
+        assert_eq!(rx.try_recv(), CheckedRecv::Data(vec![1u8; 16]));
+        rx.arm();
+        rx.arm();
+        assert_eq!(rx.generation(), 2);
+        tx.put(&[2u8; 16]).unwrap();
+        assert_eq!(tx.put(&[3u8; 16]), Err(PutError::WouldOverwrite));
+        assert_eq!(rx.try_recv(), CheckedRecv::Data(vec![2u8; 16]));
+    }
+
+    #[test]
+    fn checked_self_rearm_reopens_the_channel_for_retransmit() {
+        let (mut tx, mut rx) = channel_checked(16, OOB);
+        tx.put_corrupted(&[4u8; 16], 0).unwrap();
+        assert_eq!(rx.try_recv(), CheckedRecv::Corrupt);
+        assert_eq!(rx.generation(), 2, "a corrupt landing re-arms itself");
+        rx.arm(); // nothing was delivered: the public arm stays a no-op
+        assert_eq!(rx.generation(), 2);
+        assert!(tx.receiver_ready());
+        tx.retransmit().unwrap();
+        assert_eq!(rx.try_recv(), CheckedRecv::Data(vec![4u8; 16]));
+        rx.arm();
+        assert_eq!(rx.generation(), 3);
+        tx.put_duplicate().unwrap();
+        assert_eq!(rx.try_recv(), CheckedRecv::Duplicate);
+        assert_eq!(rx.generation(), 4, "a duplicate landing re-arms itself");
+        assert!(tx.receiver_ready());
+        tx.retransmit().unwrap();
+        assert_eq!(rx.try_recv(), CheckedRecv::Duplicate, "still a replay");
+        tx.put(&[5u8; 16]).unwrap();
+        assert_eq!(rx.try_recv(), CheckedRecv::Data(vec![5u8; 16]));
     }
 
     #[test]

@@ -25,12 +25,15 @@
 //!   implementation used by `ckd-charm` to regenerate every table and figure
 //!   of the paper on the discrete-event machine.
 //! * [`direct`] — a real multi-thread rendering of the same idea: a one-slot
-//!   channel where `put` writes the payload into the receiver's buffer and
+//!   channel where `put` copies the payload into the receiver's buffer and
 //!   publishes by overwriting the final word, detected by an acquire-load
-//!   poll. This is the Rust-sound version of the paper's out-of-band trick
-//!   and is benchmarked against a conventional queue+dispatch message path.
+//!   poll. The payload words are plain memory handed back and forth by that
+//!   release/acquire pair and the re-arm; this module is the crate's only
+//!   `unsafe` code. It is benchmarked against a conventional queue+dispatch
+//!   message path.
 
 pub mod channel;
+#[allow(unsafe_code)] // the plain-memory data path; see the module docs
 pub mod direct;
 pub mod error;
 pub mod region;

@@ -22,6 +22,13 @@
 //! [`HandleId`], so a stale handle held across a destroy is rejected with
 //! `BadHandle` instead of aliasing the slot's next tenant.
 //!
+//! The tag is 8 bits wide, so a slot serves at most 256 tenants: the
+//! destroy that would wrap its generation back to 0 *retires* the slot
+//! instead of freeing it, and every handle ever minted for it stays dead.
+//! The cost is bounded: at most one slot leaked per 256 recycles, i.e. the
+//! [`HandleId::MAX_SLOTS`] slab serves about 4.3 billion channel lifetimes
+//! before `TooManyHandles`.
+//!
 //! # Poll plane: sharded hierarchical ready rings
 //!
 //! The historical poll plane kept one `Vec<HandleId>` per PE and rescanned
@@ -218,7 +225,8 @@ const POLL_SHARDS: usize = 64;
 /// One slab slot: an occupied channel or a freelist link, plus the
 /// generation tag that outlives both.
 struct SlotEntry<C> {
-    /// Bumped every time the slot is recycled; packed into handles.
+    /// Bumped every time the slot is recycled; packed into handles. A
+    /// slot whose tag would wrap is retired at this value instead.
     gen: u8,
     state: SlotState<C>,
 }
@@ -229,7 +237,12 @@ struct SlotEntry<C> {
 #[allow(clippy::large_enum_variant)]
 enum SlotState<C> {
     Occupied(Channel<C>),
-    Free { next_free: u32 },
+    Free {
+        next_free: u32,
+    },
+    /// Served all 256 generations; never handed out again, so no stale
+    /// handle can alias a future tenant.
+    Retired,
 }
 
 /// Per-PE poll plane: the counters that replace the historical
@@ -286,7 +299,9 @@ fn shard_of(slot: u32) -> usize {
 fn occupied_mut<C>(slots: &mut [SlotEntry<C>], slot: u32) -> &mut Channel<C> {
     match &mut slots[slot as usize].state {
         SlotState::Occupied(ch) => ch,
-        SlotState::Free { .. } => unreachable!("ring member in a free slot"),
+        SlotState::Free { .. } | SlotState::Retired => {
+            unreachable!("ring member in a free slot")
+        }
     }
 }
 
@@ -1060,7 +1075,8 @@ impl<C: Clone> DirectRegistry<C> {
     /// `CkDirect_destroyHandle`: tear the channel down and recycle its
     /// slab slot under a new generation, so the stale handle (and any copy
     /// of it still held by a sender) is rejected with `BadHandle` from now
-    /// on.
+    /// on. The slot's 256th tenant retires it instead of recycling it: a
+    /// wrapped generation would bring the first tenant's handles back.
     ///
     /// Refused with `PutInFlight` while a transfer is outstanding
     /// (`InFlight` or `Landed`-but-undelivered): destroying a window the
@@ -1083,11 +1099,15 @@ impl<C: Clone> DirectRegistry<C> {
             self.polls[pe.idx()].armed -= 1;
         }
         let entry = &mut self.slots[slot as usize];
-        entry.gen = entry.gen.wrapping_add(1);
-        entry.state = SlotState::Free {
-            next_free: self.free_head,
-        };
-        self.free_head = slot;
+        if let Some(gen) = entry.gen.checked_add(1) {
+            entry.gen = gen;
+            entry.state = SlotState::Free {
+                next_free: self.free_head,
+            };
+            self.free_head = slot;
+        } else {
+            entry.state = SlotState::Retired;
+        }
         self.live -= 1;
         self.destroyed += 1;
         self.emit(handle, Transition::Destroyed);
@@ -1747,6 +1767,47 @@ mod tests {
             .unwrap();
         assert_eq!(h2.slot(), h0.slot());
         assert_eq!(h2.generation(), 1);
+    }
+
+    #[test]
+    fn generation_wrap_retires_the_slot_and_stale_handles_stay_dead() {
+        let mut reg = Reg::new(1, DirectConfig::ib());
+        let mk = |reg: &mut Reg, tag| {
+            reg.create_handle(Pe(0), Region::alloc(16), u64::MAX, tag)
+                .unwrap()
+        };
+        let first = mk(&mut reg, 0);
+        let mut h = first;
+        // 256 tenants on slot 0: generations 0..=255
+        for tag in 1..=255u32 {
+            reg.destroy_handle(h).unwrap();
+            h = mk(&mut reg, tag);
+            assert_eq!((h.slot(), u32::from(h.generation())), (0, tag));
+        }
+        // the 256th destroy would wrap the tag back to 0: the slot retires
+        reg.destroy_handle(h).unwrap();
+        let next = mk(&mut reg, 256);
+        assert_eq!((next.slot(), next.generation()), (1, 0), "fresh slot");
+        for stale in [first, h] {
+            assert_eq!(reg.phase(stale).unwrap_err(), DirectError::BadHandle);
+            assert_eq!(reg.put(stale, Pe(0)).unwrap_err(), DirectError::BadHandle);
+            assert_eq!(
+                reg.destroy_handle(stale).unwrap_err(),
+                DirectError::BadHandle
+            );
+        }
+        assert_eq!(reg.phase(next).unwrap(), DataPhase::Empty);
+        // further churn recycles the fresh slot, never the retired one
+        let mut cur = next;
+        for tag in 257..600u32 {
+            reg.destroy_handle(cur).unwrap();
+            cur = mk(&mut reg, tag);
+            assert_ne!(cur.slot(), 0, "retired slot handed out again");
+            assert_eq!(reg.phase(first).unwrap_err(), DirectError::BadHandle);
+        }
+        // 256 more recycles retired slot 1 too: one slot per 256 recycles
+        assert_eq!((cur.slot(), cur.generation()), (2, 87));
+        assert_eq!(reg.live_channels(), 1);
     }
 
     #[test]

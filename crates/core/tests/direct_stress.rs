@@ -9,7 +9,10 @@
 //! * `WouldOverwrite` fires exactly when the receiver has not re-armed
 //!   since the last accepted put, and never otherwise;
 //! * `OobCollision` fires exactly when the payload's final word equals the
-//!   pattern, and the buffer is untouched by the rejected put.
+//!   pattern, and the buffer is untouched by the rejected put;
+//! * the plain-memory bulk copies land every word exactly, from the 1-word
+//!   channel (payload == sentinel) up to 16 KiB, at word counts no vector
+//!   width divides.
 
 use ckdirect::direct::{channel, channel_checked, DirectReceiver, PutError};
 use ckdirect::CheckedRecv;
@@ -280,4 +283,109 @@ fn parallel_channel_pairs_stay_independent() {
     for h in handles {
         h.join().unwrap();
     }
+}
+
+/// Word `w` of generation `i`: distinct across words and generations, so a
+/// stale, torn or shifted word cannot pass for the right one. Never the
+/// all-ones pattern.
+fn word_stamp(i: u64, w: usize) -> u64 {
+    (i << 20) | w as u64
+}
+
+fn stamped_words(words: usize, i: u64) -> Vec<u8> {
+    (0..words)
+        .flat_map(|w| word_stamp(i, w).to_le_bytes())
+        .collect()
+}
+
+/// The benchmark-sized bulk path: 16 KiB puts read in place through
+/// `with_data`/`WordView::word`, every word checked — including those on
+/// the last cache line, which the payload shares with the sentinel.
+#[test]
+fn sixteen_kib_zero_copy_reads_see_every_word() {
+    const WORDS: usize = 16 * 1024 / 8;
+    const ITERS: u64 = 400;
+    let (mut tx, mut rx) = channel(WORDS * 8, OOB);
+
+    let sender = thread::spawn(move || {
+        for i in 1..=ITERS {
+            let payload = stamped_words(WORDS, i);
+            while let Err(PutError::WouldOverwrite) = tx.put(&payload) {
+                thread::yield_now();
+            }
+        }
+    });
+
+    for i in 1..=ITERS {
+        while !rx.poll() {
+            thread::yield_now();
+        }
+        rx.with_data(|view| {
+            assert_eq!(view.len(), WORDS * 8);
+            for w in 0..WORDS {
+                assert_eq!(view.word(w), word_stamp(i, w), "word {w} of generation {i}");
+            }
+        });
+        rx.arm();
+    }
+    sender.join().unwrap();
+}
+
+/// `try_recv`'s bulk copy at 37 payload words ahead of the sentinel: an odd
+/// word count, so no vector width divides the copy and its scalar tail runs.
+#[test]
+fn copy_out_with_an_odd_word_count_is_exact() {
+    const WORDS: usize = 38;
+    const ITERS: u64 = 2_000;
+    let (mut tx, mut rx) = channel(WORDS * 8, OOB);
+
+    let sender = thread::spawn(move || {
+        for i in 1..=ITERS {
+            let payload = stamped_words(WORDS, i);
+            while let Err(PutError::WouldOverwrite) = tx.put(&payload) {
+                thread::yield_now();
+            }
+        }
+    });
+
+    for i in 1..=ITERS {
+        assert_eq!(
+            recv_yield(&mut rx),
+            stamped_words(WORDS, i),
+            "generation {i}"
+        );
+        rx.arm();
+    }
+    sender.join().unwrap();
+}
+
+/// The 1-word channel: the payload is the sentinel alone, so the bulk copy
+/// is empty on both sides and the whole message rides on the `Release`
+/// store. Alternates the copying and the in-place read paths.
+#[test]
+fn one_word_channel_carries_the_payload_in_the_sentinel() {
+    const ITERS: u64 = 2_000;
+    let (mut tx, mut rx) = channel(8, OOB);
+
+    let sender = thread::spawn(move || {
+        for i in 1..=ITERS {
+            while let Err(PutError::WouldOverwrite) = tx.put(&i.to_le_bytes()) {
+                thread::yield_now();
+            }
+        }
+    });
+
+    for i in 1..=ITERS {
+        if i % 2 == 0 {
+            assert_eq!(recv_yield(&mut rx), i.to_le_bytes());
+        } else {
+            while !rx.poll() {
+                thread::yield_now();
+            }
+            assert_eq!(rx.with_data(|v| v.word(0)), i);
+        }
+        rx.arm();
+    }
+    assert_eq!(rx.generation(), ITERS + 1);
+    sender.join().unwrap();
 }

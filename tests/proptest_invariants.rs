@@ -367,7 +367,9 @@ fn registry_delivers_every_put_intact() {
 /// identically: same per-op verdicts, same delivery order, same live and
 /// destroyed counts, and every stale (destroyed) handle must answer
 /// `BadHandle` to every operation forever — generation tags make slot
-/// reuse unobservable.
+/// reuse unobservable. Churn bursts recycle one slot hundreds of times in
+/// a row, past its 8-bit generation: the slot must retire at the wrap
+/// rather than mint a handle a stale one equals.
 #[test]
 fn slab_registry_matches_a_naive_reference_model() {
     use std::collections::HashMap;
@@ -381,6 +383,7 @@ fn slab_registry_matches_a_naive_reference_model() {
     }
 
     let mut rng = DetRng::new(0x51AB).stream("slab-reference");
+    let mut retirements = 0usize;
     for case in 0..CASES {
         let mut reg: DirectRegistry<u32> = DirectRegistry::new(2, DirectConfig::ib());
         let send = Region::alloc(32);
@@ -408,6 +411,50 @@ fn slab_registry_matches_a_naive_reference_model() {
                     DirectError::BadHandle,
                     "case {case} step {step}: stale handle accepted"
                 );
+                continue;
+            }
+            // churn: destroy and re-create one idle channel up to 400 times
+            // in a row; the LIFO freelist hands its slot straight back
+            if !live.is_empty() && rng.chance(0.05) {
+                let mut at = rng.range(0, live.len() as u64) as usize;
+                if !matches!(model[&(live[at].0 as u64)], Phase::Empty | Phase::Delivered) {
+                    continue;
+                }
+                for _ in 0..rng.range(1, 400) {
+                    let h = live.swap_remove(at);
+                    reg.destroy_handle(h).unwrap();
+                    model.remove(&(h.0 as u64));
+                    pollq.retain(|&q| q != h);
+                    stale.push(h);
+                    destroyed += 1;
+                    let n = reg
+                        .create_handle(Pe(1), Region::alloc(32), u64::MAX, next_cb)
+                        .unwrap();
+                    next_cb += 1;
+                    reg.assoc_local(n, Pe(0), send.clone()).unwrap();
+                    if h.generation() == u8::MAX {
+                        assert_ne!(n.slot(), h.slot(), "case {case}: wrapped slot reused");
+                        retirements += 1;
+                    } else {
+                        assert_eq!(
+                            (n.slot(), n.generation()),
+                            (h.slot(), h.generation() + 1),
+                            "case {case}: freelist did not recycle the slot"
+                        );
+                    }
+                    assert!(model.insert(n.0 as u64, Phase::Empty).is_none());
+                    pollq.push(n);
+                    live.push(n);
+                    at = live.len() - 1;
+                }
+                for &h in &stale {
+                    assert_eq!(
+                        reg.phase(h).unwrap_err(),
+                        DirectError::BadHandle,
+                        "case {case} step {step}: stale {h:?} answers after churn"
+                    );
+                }
+                assert_eq!(reg.live_channels(), live.len(), "case {case} step {step}");
                 continue;
             }
             match rng.range(0, 6) {
@@ -505,6 +552,10 @@ fn slab_registry_matches_a_naive_reference_model() {
             assert_eq!(reg.pollq_len(Pe(1)), pollq.len(), "case {case} step {step}");
         }
     }
+    assert!(
+        retirements > 0,
+        "no churn burst drove a slot past 256 tenants"
+    );
 }
 
 /// Delivery-order equivalence of the sharded ready rings against the
