@@ -3,7 +3,7 @@
 //! * the real-thread `DirectChannel` data path (put + poll + arm) against a
 //!   conventional queue+dispatch message path — the host-machine analogue
 //!   of Table 1's CkDirect-vs-messages comparison;
-//! * the discrete-event queue;
+//! * the discrete-event queue (fill-then-drain and steady-state hold);
 //! * the full simulated scheduler (virtual-events per wall second).
 //!
 //! A small self-contained timing harness (median of repeated batches)
@@ -84,6 +84,27 @@ fn bench_event_queue() {
         ns / 1e3,
         ns / 1024.0
     );
+    // Steady-state "hold": the simulator's own pattern — pop the earliest
+    // event, schedule one successor a pseudo-random delay later — at a
+    // fixed queue depth.
+    for depth in [128u64, 256, 1024] {
+        let mut q = EventQueue::with_capacity(depth as usize + 1);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut delay = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            Time::from_ps(rng % 1_000_000)
+        };
+        for i in 0..depth {
+            q.push(delay(), i);
+        }
+        let ns = time_ns(7, 200_000, || {
+            let (t, v) = q.pop().expect("hold keeps the queue full");
+            q.push(t + delay(), std::hint::black_box(v));
+        });
+        println!("hold_{depth}: {ns:.1} ns/push+pop");
+    }
     println!();
 }
 

@@ -532,12 +532,17 @@ impl Machine {
     }
 
     /// [`Machine::run_until`] with the self-profiler collecting: times
-    /// each dispatch by scheduler phase, samples the event-queue depth,
-    /// and emits a JSONL snapshot every `snapshot_every` events. Kept as
-    /// a separate loop so the unprofiled hot path pays nothing.
+    /// each pop (with the profiler's per-event bookkeeping) under
+    /// [`Phase::Queue`] and each dispatch by scheduler phase, samples the
+    /// event-queue depth, and emits a JSONL snapshot every
+    /// `snapshot_every` events. Pop and dispatch spans are laps of one
+    /// clock, so they tile the loop (snapshots and the final empty pop
+    /// stay unattributed).
+    /// Kept as a separate loop so the unprofiled hot path pays nothing.
     fn run_until_profiled(&mut self, limit: Time) -> Time {
         let loop_t0 = std::time::Instant::now();
         let every = self.prof.snapshot_every();
+        let mut mark = self.prof.begin();
         while !self.stop {
             let Some((t, ev)) = self.pop_next(limit) else {
                 break;
@@ -546,12 +551,13 @@ impl Machine {
             self.stats.events += 1;
             self.prof.event_dispatched(self.queue_depth() as u64);
             let phase = phase_of(&ev);
-            let t0 = self.prof.begin();
+            self.prof.lap(Phase::Queue, &mut mark);
             self.dispatch(ev);
-            self.prof.end(phase, t0);
+            self.prof.lap(phase, &mut mark);
             if let Some(every) = every {
                 if self.stats.events.is_multiple_of(every) {
                     self.emit_snapshot();
+                    mark = self.prof.begin();
                 }
             }
         }

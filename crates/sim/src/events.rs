@@ -11,14 +11,17 @@
 //! The hot path of the simulator is push/pop on this queue, and event
 //! payloads are large (message payloads, byte buffers). A naive
 //! `BinaryHeap<(Time, u64, E)>` moves whole payloads on every sift. Instead
-//! the heap holds 24-byte entries — a packed `u128` key
+//! the heap holds small entries — a packed `u128` key
 //! (`time_ps << 64 | seq`, unique because `seq` is monotone) plus a `u32`
-//! slot index — while payloads sit still in a slab recycled through a
-//! freelist. One integer compare per sift step, no payload moves, no
-//! per-event allocation once the slab has warmed up. The pop order is
-//! exactly the `(Time, seq)` lexicographic order of the old representation:
-//! the packed key compares identically and every key is unique, so ties
-//! cannot arise.
+//! slot index, 32 bytes on x86_64 where `u128` is 16-byte aligned — while
+//! payloads sit still in a slab recycled through a freelist. One integer
+//! compare per sift step, no payload moves, no per-event allocation once
+//! the slab has warmed up. A pop walks the root's hole down to a leaf with
+//! one compare per level and sifts the former tail entry up from there
+//! (see `remove_at`). The pop order is exactly the `(Time, seq)`
+//! lexicographic order of the old representation: the packed key compares
+//! identically and every key is unique, so ties cannot arise and every
+//! valid heap shape pops the same sequence.
 
 use crate::time::Time;
 
@@ -33,7 +36,8 @@ pub struct EventMeta {
     /// The event's scheduled firing time.
     pub at: Time,
     /// Footprint tag attached via [`EventQueue::push_tagged`] (0 if the
-    /// event was pushed through plain [`EventQueue::push`]).
+    /// event was pushed through [`EventQueue::push`] or
+    /// [`EventQueue::push_at_seq`]).
     pub tag: u64,
 }
 
@@ -180,35 +184,9 @@ impl<E> EventQueue<E> {
     /// the model checker driving it) can read back through [`EventMeta`].
     #[inline]
     pub fn push_tagged(&mut self, at: Time, tag: u64, ev: E) {
-        debug_assert!(
-            self.policy.is_some() || at >= self.horizon,
-            "causality violation: scheduling at {at} behind horizon {}",
-            self.horizon
-        );
         let seq = self.seq;
         self.seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(ev);
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Some(ev));
-                s
-            }
-        };
-        if self.policy.is_some() {
-            if self.tags.len() <= slot as usize {
-                self.tags.resize(slot as usize + 1, 0);
-            }
-            self.tags[slot as usize] = tag;
-        }
-        self.heap.push(Entry {
-            key: pack(at, seq),
-            slot,
-        });
-        self.sift_up(self.heap.len() - 1);
+        self.insert(at, seq, tag, ev);
     }
 
     /// Schedule `ev` at `at` under a *caller-supplied* sequence number
@@ -223,28 +201,8 @@ impl<E> EventQueue<E> {
     /// calls can never collide.
     #[inline]
     pub fn push_at_seq(&mut self, at: Time, seq: u64, ev: E) {
-        debug_assert!(
-            self.policy.is_some() || at >= self.horizon,
-            "causality violation: scheduling at {at} behind horizon {}",
-            self.horizon
-        );
         self.seq = self.seq.max(seq.saturating_add(1));
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(ev);
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Some(ev));
-                s
-            }
-        };
-        self.heap.push(Entry {
-            key: pack(at, seq),
-            slot,
-        });
-        self.sift_up(self.heap.len() - 1);
+        self.insert(at, seq, 0, ev);
     }
 
     /// Remove and return the earliest event, advancing the horizon to its
@@ -256,7 +214,7 @@ impl<E> EventQueue<E> {
             return self.pop_policy(Time::MAX);
         }
         let root = *self.heap.first()?;
-        self.remove_root();
+        self.remove_at(0);
         Some(self.take(root))
     }
 
@@ -272,7 +230,7 @@ impl<E> EventQueue<E> {
         if key_time(root.key) > limit {
             return None;
         }
-        self.remove_root();
+        self.remove_at(0);
         Some(self.take(root))
     }
 
@@ -326,7 +284,7 @@ impl<E> EventQueue<E> {
         if key_time(root.key) > limit {
             return None;
         }
-        self.remove_root();
+        self.remove_at(0);
         let seq = root.key as u64;
         let (at, ev) = self.take(root);
         Some((at, seq, ev))
@@ -376,29 +334,78 @@ impl<E> EventQueue<E> {
 
     // ---- internals --------------------------------------------------------
 
-    /// Drop the root entry out of the heap, restoring the heap property.
+    /// Place `ev` in a slab slot (recycled when one is free), record its
+    /// footprint tag when a policy will read it, and sift its key into the
+    /// heap. Every push goes through here, so a recycled slot can never
+    /// carry its previous occupant's tag.
     #[inline]
-    fn remove_root(&mut self) {
-        let last = self.heap.pop().expect("caller checked non-empty");
-        if let Some(first) = self.heap.first_mut() {
-            *first = last;
-            self.sift_down(0);
+    fn insert(&mut self, at: Time, seq: u64, tag: u64, ev: E) {
+        debug_assert!(
+            self.policy.is_some() || at >= self.horizon,
+            "causality violation: scheduling at {at} behind horizon {}",
+            self.horizon
+        );
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = Some(ev);
+                s
+            }
+            None => {
+                let s = self.slots.len() as u32;
+                self.slots.push(Some(ev));
+                s
+            }
+        };
+        if self.policy.is_some() {
+            if self.tags.len() <= slot as usize {
+                self.tags.resize(slot as usize + 1, 0);
+            }
+            self.tags[slot as usize] = tag;
         }
+        self.heap.push(Entry {
+            key: pack(at, seq),
+            slot,
+        });
+        self.sift_up(self.heap.len() - 1);
     }
 
-    /// Drop the entry at heap index `i`, restoring the heap property in
-    /// whichever direction the swapped-in tail element violates it.
+    /// Drop the entry at heap index `i`, restoring the heap property.
+    ///
+    /// Hole-to-bottom removal (the scheme of std's `BinaryHeap::pop`): the
+    /// hole left at `i` walks down to a leaf, promoting the smaller child
+    /// at each level with one key compare and a branch-free index select,
+    /// and only then is the former tail entry sifted up from that leaf.
+    /// Every promoted entry is at least the removed one, which is at least
+    /// its ancestors, so the sift-up may climb past `i` when the tail is
+    /// smaller than `i`'s ancestors — one walk serves the root pop and the
+    /// policy's interior removal alike. On a root pop the tail is usually
+    /// among the largest keys, so the sift-up almost always stops after
+    /// 0–1 steps: one compare per level instead of the two a top-down sift
+    /// makes. Keys are unique, so the heap shape may differ from a
+    /// top-down sift's but the pop order cannot.
+    #[inline]
     fn remove_at(&mut self, i: usize) {
         let last = self.heap.pop().expect("caller checked non-empty");
-        if i == self.heap.len() {
+        let heap = self.heap.as_mut_slice();
+        let len = heap.len();
+        if i == len {
             return;
         }
-        self.heap[i] = last;
-        if i > 0 && self.heap[i].key < self.heap[(i - 1) / 2].key {
-            self.sift_up(i);
-        } else {
-            self.sift_down(i);
+        let mut hole = i;
+        let mut child = 2 * i + 1;
+        while child + 1 < len {
+            child += usize::from(heap[child + 1].key < heap[child].key);
+            heap[hole] = heap[child];
+            hole = child;
+            child = 2 * hole + 1;
         }
+        // the last parent may have a single (left) child
+        if child + 1 == len {
+            heap[hole] = heap[child];
+            hole = child;
+        }
+        heap[hole] = last;
+        self.sift_up(hole);
     }
 
     /// Extract the payload of a removed entry and account the pop.
@@ -425,28 +432,6 @@ impl<E> EventQueue<E> {
             }
             self.heap[i] = self.heap[parent];
             i = parent;
-        }
-        self.heap[i] = entry;
-    }
-
-    #[inline]
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
-        let entry = self.heap[i];
-        loop {
-            let mut child = 2 * i + 1;
-            if child >= len {
-                break;
-            }
-            let right = child + 1;
-            if right < len && self.heap[right].key < self.heap[child].key {
-                child = right;
-            }
-            if entry.key <= self.heap[child].key {
-                break;
-            }
-            self.heap[i] = self.heap[child];
-            i = child;
         }
         self.heap[i] = entry;
     }
@@ -670,6 +655,101 @@ mod tests {
         );
         assert_eq!(q.pop_keyed_before(Time::from_ns(29)), None);
         assert_eq!(q.peek_key(), Some((Time::from_ns(30), 1)));
+    }
+
+    /// Every heap size from empty to seven levels, under four key shapes,
+    /// removing at every heap index: the heap must stay valid and the
+    /// drain must equal the sorted `(time, seq)` list minus the removed
+    /// key. Sizes 0..=70 include every parity of the last level, so the
+    /// hole walk meets a last parent with one child and with two at every
+    /// depth. Interior removal (the policy path) is what the reference
+    /// proptests never reach: there the tail may sift up past the hole's
+    /// starting index.
+    #[test]
+    fn removal_at_every_index_keeps_key_order_for_every_small_heap_shape() {
+        let mut rng = crate::rng::DetRng::new(0x5EED).stream("pop-shapes");
+        for n in 0..=70u64 {
+            let shapes: [(&str, Vec<u64>); 4] = [
+                ("ascending", (0..n).collect()),
+                ("descending", (0..n).rev().collect()),
+                ("equal", vec![42; n as usize]),
+                ("random", (0..n).map(|_| rng.range(0, 16)).collect()),
+            ];
+            for (shape, times) in shapes {
+                let build = || {
+                    let mut q = EventQueue::new();
+                    for (seq, &t) in times.iter().enumerate() {
+                        q.push(Time::from_ns(t), seq);
+                    }
+                    q
+                };
+                let sorted = |q: &EventQueue<usize>| {
+                    let mut keys: Vec<(Time, u64)> = q
+                        .heap
+                        .iter()
+                        .map(|e| (key_time(e.key), e.key as u64))
+                        .collect();
+                    keys.sort_unstable();
+                    keys
+                };
+                let drain = |mut q: EventQueue<usize>| -> Vec<(Time, u64)> {
+                    std::iter::from_fn(|| q.pop_keyed_before(Time::MAX))
+                        .map(|(t, seq, ev)| {
+                            assert_eq!(seq, ev as u64, "n={n} {shape}: payload/key mismatch");
+                            (t, seq)
+                        })
+                        .collect()
+                };
+                let q = build();
+                let want = sorted(&q);
+                assert_eq!(drain(q), want, "n={n} {shape}");
+                for i in 0..n as usize {
+                    let mut q = build();
+                    let gone = q.heap[i].key;
+                    q.remove_at(i);
+                    for c in 1..q.heap.len() {
+                        assert!(
+                            q.heap[(c - 1) / 2].key < q.heap[c].key,
+                            "n={n} {shape} remove_at({i}): heap broken at {c}"
+                        );
+                    }
+                    let mut want = want.clone();
+                    want.retain(|&k| k != (key_time(gone), gone as u64));
+                    assert_eq!(drain(q), want, "n={n} {shape} remove_at({i})");
+                }
+            }
+        }
+    }
+
+    /// Shows the policy every candidate's tag, and picks the minimum.
+    struct RecordTags(std::rc::Rc<std::cell::RefCell<Vec<Vec<u64>>>>);
+
+    impl ReorderPolicy for RecordTags {
+        fn window(&self) -> Time {
+            Time::from_ns(100)
+        }
+        fn choose(&mut self, cands: &[EventMeta]) -> usize {
+            self.0
+                .borrow_mut()
+                .push(cands.iter().map(|m| m.tag).collect());
+            0
+        }
+    }
+
+    #[test]
+    fn push_at_seq_into_a_recycled_slot_carries_tag_zero() {
+        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut q = EventQueue::new();
+        q.set_policy(Box::new(RecordTags(seen.clone())));
+        q.push_tagged(Time::from_ns(1), 7, "tagged");
+        assert_eq!(q.pop(), Some((Time::from_ns(1), "tagged")));
+        // slot 0 is free again; the untagged push recycles it
+        q.push_at_seq(Time::from_ns(2), 100, "at-seq");
+        q.push_tagged(Time::from_ns(2), 9, "fresh");
+        assert_eq!(q.slab_slots(), 2);
+        // seq 100 sorts first; the policy sees both candidates' tags
+        assert_eq!(q.pop(), Some((Time::from_ns(2), "at-seq")));
+        assert_eq!(*seen.borrow(), vec![vec![0, 9]], "stale tag leaked");
     }
 
     #[test]

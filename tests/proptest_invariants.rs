@@ -123,6 +123,54 @@ fn event_queue_matches_the_reference_binary_heap() {
     }
 }
 
+/// Steady-state "hold" at simulator-like depths: fill to a depth of up to
+/// 2,048 events, then repeatedly pop the earliest and push one successor a
+/// random delay later (sometimes a same-timestamp burst), against the
+/// reference heap. The interleaving test above stays below ~300 pending
+/// events; this one makes the pop walk up to 11 levels.
+#[test]
+fn event_queue_hold_matches_the_reference_binary_heap() {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let mut rng = DetRng::new(0x401D).stream("event-queue-hold");
+    for case in 0..CASES / 4 {
+        let depth = rng.range(1, 2049);
+        let mut q = ckd_sim::EventQueue::new();
+        let mut reference: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut ckd_sim::EventQueue<u64>,
+                        reference: &mut BinaryHeap<Reverse<(Time, u64)>>,
+                        at: Time| {
+            q.push(at, seq);
+            reference.push(Reverse((at, seq)));
+            seq += 1;
+        };
+        for _ in 0..depth {
+            push(&mut q, &mut reference, Time::from_ps(rng.range(0, 1 << 20)));
+        }
+        for _ in 0..4 * depth {
+            let got = q.pop();
+            let want = reference.pop().map(|Reverse(k)| k);
+            assert_eq!(got, want, "case {case} (depth {depth}): hold diverged");
+            let (now, _) = got.expect("hold keeps the queue non-empty");
+            let at = now + Time::from_ps(rng.range(0, 1 << 20));
+            push(&mut q, &mut reference, at);
+            if rng.chance(0.05) {
+                // keep the depth: pop one, then a tie for the pushed event
+                let got = q.pop();
+                assert_eq!(got, reference.pop().map(|Reverse(k)| k), "case {case}");
+                push(&mut q, &mut reference, at);
+            }
+        }
+        assert_eq!(q.len(), reference.len());
+        while let Some(want) = reference.pop() {
+            assert_eq!(q.pop(), Some(want.0), "case {case}: drain diverged");
+        }
+        assert!(q.is_empty());
+    }
+}
+
 /// `pop_before` is the scheduler's fast path: it must behave exactly like
 /// `peek_time` + `pop` under a limit, against the same reference heap.
 #[test]

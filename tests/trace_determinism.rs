@@ -10,7 +10,7 @@ use ckd_charm::{
     chrome_trace_json, text_summary, validate_snapshot_jsonl, FaultPlan, Machine, ProfConfig,
     TraceConfig,
 };
-use ckd_trace::ProtoClass;
+use ckd_trace::{Phase, ProtoClass};
 
 fn cfg() -> JacobiCfg {
     JacobiCfg {
@@ -169,6 +169,14 @@ fn profiled_runs_emit_identical_snapshots() {
     assert_eq!(sa.puts, sb.puts);
     assert_eq!(sa.events, a.stats().events, "profiler missed events");
     assert_eq!(sa.puts, a.stats().puts, "profiler missed puts");
+    // one queue span per dispatched pop
+    for s in [&sa, &sb] {
+        assert_eq!(
+            s.phases[Phase::Queue.index()].count,
+            s.events,
+            "queue spans"
+        );
+    }
 }
 
 /// The profiler is an observer: enabling it must not perturb a single
