@@ -8,16 +8,11 @@
 //! ckd-sweep matmul   [--workers N] [--out FILE]   # Fig 3(b) → BENCH_matmul.json
 //! ckd-sweep backends [--workers N] [--out FILE]   # completion-backend grid → BENCH_backends.json
 //! ckd-sweep smoke    [--workers N]                # tiny grid, asserts N-worker == 1-worker bytes
-//! ckd-sweep pdes                                  # sharded-vs-serial byte-compare of a traced run
 //! ckd-sweep channels [--out FILE]                 # channel-storm herd scaling → BENCH_channels.json
 //! ckd-sweep validate FILE...                      # schema-check BENCH_*.json files
 //! ckd-sweep profile  [--workers N] [--out FILE]   # profiled smoke grid: phase table,
 //!                                                 # histograms, snapshot validation
 //! ```
-//!
-//! `--shards N` forces every run of a grid onto the sharded PDES engine
-//! (`MachineBuilder::with_shards`); results are byte-identical either way,
-//! so the emitted file differs only in the `shards`/`pdes_rounds` fields.
 //!
 //! `sweep64` also times a one-worker serial pass over the same grid and
 //! records the wall-clock speedup in the emitted file; every command
@@ -41,14 +36,12 @@ fn cores() -> usize {
 struct Opts {
     workers: usize,
     out: Option<String>,
-    shards: Option<usize>,
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         workers: cores().min(4),
         out: None,
-        shards: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -63,29 +56,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--out" => {
                 opts.out = Some(it.next().ok_or("--out needs a path")?.clone());
             }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad shard count {v:?}"))?;
-                if n == 0 {
-                    return Err("--shards must be >= 1".into());
-                }
-                opts.shards = Some(n);
-            }
             other => return Err(format!("unknown option {other:?}")),
         }
     }
     Ok(opts)
-}
-
-/// Apply a `--shards` override to every grid point.
-fn with_shards(grid: Vec<RunSpec>, shards: Option<usize>) -> Vec<RunSpec> {
-    match shards {
-        None => grid,
-        Some(n) => grid
-            .into_iter()
-            .map(|s| RunSpec { shards: n, ..s })
-            .collect(),
-    }
 }
 
 /// Run `grid` with the requested workers, prove the merge matches a
@@ -207,94 +181,29 @@ fn profile(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// The PDES smoke: run a small traced Jacobi once on the serial engine
-/// and once on 2 shards, and require every export byte — trace JSON, text
-/// summary, `{:#?}` stats — to be identical. This is the one-command
-/// version of `tests/pdes_determinism.rs`, cheap enough for every
-/// `scripts/check.sh` run.
-fn pdes() -> Result<(), String> {
-    use ckd_apps::jacobi3d::{run_jacobi_on, JacobiCfg};
-    use ckd_apps::{Platform, Variant};
-    use ckd_charm::{chrome_trace_json, text_summary, TraceConfig};
-
-    let cfg = JacobiCfg {
-        domain: [16, 16, 16],
-        chares: [2, 2, 2],
-        iters: 3,
-        variant: Variant::Ckd,
-        real_compute: false,
-    };
-    let platform = Platform::IbAbe { cores_per_node: 2 };
-    let run = |shards: usize| {
-        let mut m = platform
-            .builder(8)
-            .with_tracing(TraceConfig::default())
-            .with_shards(shards)
-            .build();
-        run_jacobi_on(&mut m, cfg);
-        let exports = (
-            chrome_trace_json(m.tracer()).ok_or("pdes: run was not traced")?,
-            text_summary(m.tracer()).ok_or("pdes: run was not traced")?,
-            format!("{:#?}\n", m.stats()),
-        );
-        Ok::<_, String>((exports, m.pdes_stats()))
-    };
-    let (serial, none) = run(1)?;
-    if none.is_some() {
-        return Err("pdes: shards=1 must run the serial engine".into());
-    }
-    let (sharded, stats) = run(2)?;
-    if serial != sharded {
-        return Err("pdes: sharded exports diverged from serial".into());
-    }
-    let stats = stats.ok_or("pdes: sharded run reported no engine stats")?;
-    if stats.rounds == 0 {
-        return Err("pdes: engine never started a round".into());
-    }
-    if stats.window_spills > 0 {
-        return Err(format!(
-            "pdes: {} events violated the safe window",
-            stats.window_spills
-        ));
-    }
-    eprintln!(
-        "ckd-sweep pdes: 2-shard run byte-identical to serial \
-         ({} rounds, {} cross-shard events)",
-        stats.rounds, stats.cross_shard
-    );
-    Ok(())
-}
-
 /// The channel-storm trajectory: a fixed active window over a herd of
 /// 1k→100k registered channels on one PE. Proves (a) the deterministic
-/// section is byte-identical across repeats and across the serial/PDES
-/// engines, and (b) host cost per sweep stays roughly flat as the herd
+/// section is byte-identical across repeats, and (b) host cost per sweep
+/// stays roughly flat as the herd
 /// grows 100× — the O(active) claim of the sharded poll rings. The
 /// linear-scan plane this replaced would fail (b) by ~two orders of
 /// magnitude.
 fn channels(opts: &Opts) -> Result<(), String> {
-    // (a) determinism: repeat the smallest point serially, then run it on
-    // the 2-shard PDES engine; all deterministic bytes must agree.
+    // (a) determinism: repeat the smallest point; all deterministic bytes
+    // must agree.
     let probe = STORM_REGISTERED[0];
-    let first = run_storm_point(probe, 1);
-    let again = run_storm_point(probe, 1);
+    let first = run_storm_point(probe);
+    let again = run_storm_point(probe);
     if ckd_bench::chanstorm::det_line(&first.result)
         != ckd_bench::chanstorm::det_line(&again.result)
         || first.stats_debug != again.stats_debug
     {
-        return Err("channels: serial re-run diverged".into());
-    }
-    let sharded = run_storm_point(probe, 2);
-    if ckd_bench::chanstorm::det_line(&first.result)
-        != ckd_bench::chanstorm::det_line(&sharded.result)
-        || first.stats_debug != sharded.stats_debug
-    {
-        return Err("channels: PDES engine diverged from serial".into());
+        return Err("channels: re-run diverged".into());
     }
 
     let mut points = vec![first];
     for &registered in &STORM_REGISTERED[1..] {
-        points.push(run_storm_point(registered, 1));
+        points.push(run_storm_point(registered));
     }
     for p in &points {
         eprintln!(
@@ -360,8 +269,8 @@ fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         return Err(
-            "usage: ckd-sweep <sweep64|table1|jacobi|matmul|backends|smoke|pdes|channels|profile\
-             |validate> [--workers N] [--out FILE] [--shards N]"
+            "usage: ckd-sweep <sweep64|table1|jacobi|matmul|backends|smoke|channels|profile\
+             |validate> [--workers N] [--out FILE]"
                 .into(),
         );
     };
@@ -369,51 +278,25 @@ fn run() -> Result<(), String> {
     match cmd.as_str() {
         "sweep64" => {
             let opts = parse_opts(rest)?;
-            emit(
-                "sweep",
-                &with_shards(sweep64_grid(), opts.shards),
-                &opts,
-                true,
-            )
+            emit("sweep", &sweep64_grid(), &opts, true)
         }
         "table1" => {
             let opts = parse_opts(rest)?;
-            emit(
-                "table1",
-                &with_shards(table1_grid(), opts.shards),
-                &opts,
-                false,
-            )
+            emit("table1", &table1_grid(), &opts, false)
         }
         "jacobi" => {
             let opts = parse_opts(rest)?;
-            emit(
-                "jacobi",
-                &with_shards(fig2a_grid(), opts.shards),
-                &opts,
-                false,
-            )
+            emit("jacobi", &fig2a_grid(), &opts, false)
         }
         "matmul" => {
             let opts = parse_opts(rest)?;
-            emit(
-                "matmul",
-                &with_shards(fig3b_grid(), opts.shards),
-                &opts,
-                false,
-            )
+            emit("matmul", &fig3b_grid(), &opts, false)
         }
         "backends" => {
             let opts = parse_opts(rest)?;
-            emit(
-                "backends",
-                &with_shards(backends_grid(), opts.shards),
-                &opts,
-                false,
-            )
+            emit("backends", &backends_grid(), &opts, false)
         }
         "smoke" => smoke(&parse_opts(rest)?),
-        "pdes" => pdes(),
         "channels" => channels(&parse_opts(rest)?),
         // both spellings: `profile` as a subcommand, `--profile` as a flag
         "profile" | "--profile" => profile(&parse_opts(rest)?),

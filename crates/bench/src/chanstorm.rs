@@ -58,13 +58,11 @@ impl StormPoint {
     }
 }
 
-/// Run one channel-storm point on a profiled 2-PE Infiniband machine
-/// (`shards > 1` selects the PDES engine, byte-identical by contract).
-pub fn run_storm_point(registered: usize, shards: usize) -> StormPoint {
+/// Run one channel-storm point on a profiled 2-PE Infiniband machine.
+pub fn run_storm_point(registered: usize) -> StormPoint {
     let mut m = Platform::IbAbe { cores_per_node: 2 }
         .builder(2)
         .with_profiling(ProfConfig { snapshot_every: 0 })
-        .with_shards(shards)
         .build();
     let result = run_chanstorm_on(
         &mut m,
@@ -272,8 +270,8 @@ mod tests {
     fn one_real_point_round_trips() {
         // smallest real run: deterministic line is reproducible and the
         // profiler saw every sweep
-        let a = run_storm_point(200, 1);
-        let b = run_storm_point(200, 1);
+        let a = run_storm_point(200);
+        let b = run_storm_point(200);
         assert_eq!(det_line(&a.result), det_line(&b.result));
         assert_eq!(a.stats_debug, b.stats_debug);
         assert!(a.sweeps > 0);

@@ -27,7 +27,7 @@ pub use chanstorm::{
 pub use sweep::{
     backends_grid, fig2a_grid, fig3b_grid, run_sweep, run_sweep_with, smoke_grid, sweep64_grid,
     sweep_json, table1_grid, validate_sweep_json, AppCase, BackendSel, HostReport, RunRecord,
-    RunSpec, SCHEMA, SCHEMA_V1,
+    RunSpec, SCHEMA,
 };
 
 /// True when `CKD_TRACE=1` asks benches to collect traces.

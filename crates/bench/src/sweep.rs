@@ -28,24 +28,13 @@ use ckd_charm::{FaultPlan, MachineStats, ProfConfig, ProfShard};
 
 use crate::TABLE_SIZES;
 
-/// Current schema tag of every JSON file this module emits: v4 adds the
-/// per-run `backend`/`cq_drains` fields recording which put-completion
-/// backend the run used (`ib-sentinel-poll`, `dcmf-callback`,
+/// Schema tag of every JSON file this module emits, and the only one
+/// [`validate_sweep_json`] accepts. Each run records its virtual-time
+/// metrics, machine counters, CkDirect callbacks and poll checks, the
+/// put-completion backend it used (`ib-sentinel-poll`, `dcmf-callback`,
 /// `notified-put`, `shared-mem`) and how many CQ notification records it
 /// drained.
-pub const SCHEMA: &str = "ckd-sweep/v4";
-
-/// The v3 schema tag (per-run `shards`/`pdes_rounds` PDES fields);
-/// [`validate_sweep_json`] still accepts files carrying it so older
-/// trajectory archives keep validating.
-pub const SCHEMA_V3: &str = "ckd-sweep/v3";
-
-/// The v2 schema tag (per-run `callbacks`/`poll_checks`, host-side
-/// throughput metrics); likewise still accepted.
-pub const SCHEMA_V2: &str = "ckd-sweep/v2";
-
-/// The original schema tag; likewise still accepted.
-pub const SCHEMA_V1: &str = "ckd-sweep/v1";
+pub const SCHEMA: &str = "ckd-sweep/v5";
 
 /// One application grid point: which app to run and its shape parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,9 +138,6 @@ pub struct RunSpec {
     pub seed: u64,
     /// Packet drop probability in permille (0 = no fault plane at all).
     pub drop_permille: u32,
-    /// PDES shard count (1 = the serial engine; byte-identical results
-    /// either way, so this only changes how the run executes).
-    pub shards: usize,
     /// Put-completion backend ([`BackendSel::Auto`] follows the fabric).
     pub backend: BackendSel,
 }
@@ -182,9 +168,6 @@ pub struct RunRecord {
     pub callbacks: u64,
     /// Handles examined by poll sweeps (summed over PEs).
     pub poll_checks: u64,
-    /// Safe-window rounds of the PDES engine (0 for serial runs;
-    /// deterministic, so it participates in equality).
-    pub pdes_rounds: u64,
     /// Name of the put-completion backend the run actually used.
     pub backend: &'static str,
     /// Completion-queue notification records drained (0 outside the
@@ -212,7 +195,6 @@ impl PartialEq for RunRecord {
             && self.stats == other.stats
             && self.callbacks == other.callbacks
             && self.poll_checks == other.poll_checks
-            && self.pdes_rounds == other.pdes_rounds
             && self.backend == other.backend
             && self.cq_drains == other.cq_drains
             && self.snapshots == other.snapshots
@@ -231,10 +213,7 @@ impl RunSpec {
     /// carries the run's [`ProfShard`] and snapshot JSONL.
     pub fn execute_with(&self, prof: Option<ProfConfig>) -> RunRecord {
         let t0 = Instant::now();
-        let mut b = self
-            .platform
-            .builder(self.pes)
-            .with_shards(self.shards.max(1));
+        let mut b = self.platform.builder(self.pes);
         if let BackendSel::SharedMem = self.backend {
             b = b.with_backend(ckd_charm::backend::SharedMem);
         }
@@ -307,7 +286,6 @@ impl RunSpec {
             stats: m.stats().clone(),
             callbacks: m.callback_total(),
             poll_checks: m.poll_check_total(),
-            pdes_rounds: m.pdes_stats().map_or(0, |s| s.rounds),
             backend: m.backend().name(),
             cq_drains: m.cq_drain_total(),
             snapshots: m.profiler().snapshots_jsonl().map(str::to_string),
@@ -412,8 +390,7 @@ pub fn sweep_json(name: &str, records: &[RunRecord], host: Option<&HostReport>) 
              \"drop_permille\": {}, \"metric_ps\": {}, \"total_ps\": {}, \"lossy_puts\": {}, \
              \"events\": {}, \"msgs_sent\": {}, \"msg_bytes\": {}, \"puts\": {}, \
              \"put_bytes\": {}, \"reductions\": {}, \"retries\": {}, \"callbacks\": {}, \
-             \"poll_checks\": {}, \"shards\": {}, \"pdes_rounds\": {}, \
-             \"backend\": \"{}\", \"cq_drains\": {}}}{}\n",
+             \"poll_checks\": {}, \"backend\": \"{}\", \"cq_drains\": {}}}{}\n",
             s.app.label(),
             s.app.shape(),
             s.app.size(),
@@ -435,8 +412,6 @@ pub fn sweep_json(name: &str, records: &[RunRecord], host: Option<&HostReport>) 
             r.stats.rel.retries,
             r.callbacks,
             r.poll_checks,
-            s.shards,
-            r.pdes_rounds,
             r.backend,
             r.cq_drains,
             if i + 1 == records.len() { "" } else { "," },
@@ -480,8 +455,8 @@ pub fn sweep_json(name: &str, records: &[RunRecord], host: Option<&HostReport>) 
     out
 }
 
-/// Per-run keys required by every schema version.
-const RUN_KEYS_COMMON: [&str; 9] = [
+/// Per-run keys every run line must carry.
+const RUN_KEYS: [&str; 13] = [
     "\"app\"",
     "\"variant\"",
     "\"platform\"",
@@ -491,46 +466,25 @@ const RUN_KEYS_COMMON: [&str; 9] = [
     "\"metric_ps\"",
     "\"total_ps\"",
     "\"events\"",
+    "\"callbacks\"",
+    "\"poll_checks\"",
+    "\"backend\"",
+    "\"cq_drains\"",
 ];
 
-/// Per-run keys added by `ckd-sweep/v2`.
-const RUN_KEYS_V2: [&str; 2] = ["\"callbacks\"", "\"poll_checks\""];
-
-/// Per-run keys added by `ckd-sweep/v3`.
-const RUN_KEYS_V3: [&str; 2] = ["\"shards\"", "\"pdes_rounds\""];
-
-/// Per-run keys added by `ckd-sweep/v4`.
-const RUN_KEYS_V4: [&str; 2] = ["\"backend\"", "\"cq_drains\""];
-
-/// Host-block keys the bench gate reads; required whenever a v2+ file
+/// Host-block keys the bench gate reads; required whenever a file
 /// carries a `"host"` object at all.
 const HOST_KEYS: [&str; 2] = ["\"events_per_sec\"", "\"puts_per_sec\""];
 
-/// Structural check of a `BENCH_*.json` sweep file: schema tag
-/// (`ckd-sweep/v1` through `v4` are all accepted), balanced delimiters,
-/// and the per-run keys of the tagged version — errors name the missing
-/// or extra field and the version whose contract it violates.
-/// Deliberately parser-free (the workspace is std-only), like the
-/// trace-export sanity tests.
+/// Structural check of a `BENCH_*.json` sweep file: the [`SCHEMA`] tag
+/// (no other version is accepted), balanced delimiters, and every
+/// per-run key — errors name the missing field and the schema whose
+/// contract it violates. Deliberately parser-free (the workspace is
+/// std-only), like the trace-export sanity tests.
 pub fn validate_sweep_json(s: &str) -> Result<(), String> {
-    let v4 = s.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA}\""));
-    let v3 = s.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA_V3}\""));
-    let v2 = s.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA_V2}\""));
-    let v1 = s.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA_V1}\""));
-    if !v4 && !v3 && !v2 && !v1 {
-        return Err(format!(
-            "missing schema tag ({SCHEMA:?}, {SCHEMA_V3:?}, {SCHEMA_V2:?} or {SCHEMA_V1:?})"
-        ));
+    if !s.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA}\"")) {
+        return Err(format!("missing schema tag {SCHEMA:?}"));
     }
-    let tag = if v4 {
-        SCHEMA
-    } else if v3 {
-        SCHEMA_V3
-    } else if v2 {
-        SCHEMA_V2
-    } else {
-        SCHEMA_V1
-    };
     if !s.contains("\"name\": ") || !s.contains("\"runs\": [") {
         return Err("missing name/runs".into());
     }
@@ -546,51 +500,18 @@ pub fn validate_sweep_json(s: &str) -> Result<(), String> {
     if runs == 0 {
         return Err("no runs".into());
     }
-    for key in RUN_KEYS_COMMON {
+    for key in RUN_KEYS {
         let n = s.matches(key).count();
         if n != runs {
-            return Err(format!("{tag}: missing key {key} ({n}/{runs} runs)"));
-        }
-    }
-    for key in RUN_KEYS_V2 {
-        let n = s.matches(key).count();
-        if (v2 || v3 || v4) && n != runs {
-            return Err(format!("{tag}: missing v2 key {key} ({n}/{runs} runs)"));
-        }
-        if v1 && n != 0 {
-            return Err(format!(
-                "{tag}: extra v2-only key {key} in a v1 file ({n} occurrences)"
-            ));
-        }
-    }
-    for key in RUN_KEYS_V3 {
-        let n = s.matches(key).count();
-        if (v3 || v4) && n != runs {
-            return Err(format!("{tag}: missing v3 key {key} ({n}/{runs} runs)"));
-        }
-        if !(v3 || v4) && n != 0 {
-            return Err(format!(
-                "{tag}: extra v3-only key {key} in a {tag} file ({n} occurrences)"
-            ));
-        }
-    }
-    for key in RUN_KEYS_V4 {
-        let n = s.matches(key).count();
-        if v4 && n != runs {
-            return Err(format!("{tag}: missing v4 key {key} ({n}/{runs} runs)"));
-        }
-        if !v4 && n != 0 {
-            return Err(format!(
-                "{tag}: extra v4-only key {key} in a {tag} file ({n} occurrences)"
-            ));
+            return Err(format!("{SCHEMA}: missing key {key} ({n}/{runs} runs)"));
         }
     }
     // the host block is optional, but when present it must carry the
-    // throughput metrics the bench gate reads (v2 onwards)
-    if !v1 && s.contains("\"host\": {") {
+    // throughput metrics the bench gate reads
+    if s.contains("\"host\": {") {
         for key in HOST_KEYS {
             if !s.contains(key) {
-                return Err(format!("{tag}: host block missing {key}"));
+                return Err(format!("{SCHEMA}: host block missing {key}"));
             }
         }
     }
@@ -648,7 +569,6 @@ pub fn sweep64_grid() -> Vec<RunSpec> {
                     iters,
                     seed,
                     drop_permille: 20,
-                    shards: 1,
                     backend: BackendSel::Auto,
                 });
             }
@@ -672,7 +592,6 @@ pub fn table1_grid() -> Vec<RunSpec> {
                 iters: 30,
                 seed: 0,
                 drop_permille: 0,
-                shards: 1,
                 backend: BackendSel::Auto,
             });
         }
@@ -695,9 +614,7 @@ fn jacobi_grid_for(pes: usize) -> [usize; 3] {
 }
 
 /// Fig 2(a): Jacobi3D on the Infiniband (Abe) model, both transports,
-/// over the paper's processor counts — plus one sharded replica of the
-/// largest CkDirect point, which must land byte-identical metrics to its
-/// serial twin while recording `pdes_rounds > 0`.
+/// over the paper's processor counts.
 pub fn fig2a_grid() -> Vec<RunSpec> {
     let abe = Platform::IbAbe { cores_per_node: 8 };
     let mut grid = Vec::new();
@@ -714,14 +631,10 @@ pub fn fig2a_grid() -> Vec<RunSpec> {
                 iters: 4,
                 seed: 0,
                 drop_permille: 0,
-                shards: 1,
                 backend: BackendSel::Auto,
             });
         }
     }
-    let mut sharded = grid[grid.len() - 1];
-    sharded.shards = 4;
-    grid.push(sharded);
     grid
 }
 
@@ -752,7 +665,6 @@ pub fn fig3b_grid() -> Vec<RunSpec> {
                 iters: 2,
                 seed: 0,
                 drop_permille: 0,
-                shards: 1,
                 backend: BackendSel::Auto,
             });
         }
@@ -761,10 +673,7 @@ pub fn fig3b_grid() -> Vec<RunSpec> {
 }
 
 /// A tiny mixed grid for CI smoke checks and the determinism suite:
-/// every app, both a clean and a faulty point, seconds to run. The clean
-/// Jacobi point runs sharded (`shards = 2`) so the PDES path is on every
-/// smoke sweep too — its record must be indistinguishable from a serial
-/// run apart from `pdes_rounds`.
+/// every app, both a clean and a faulty point, seconds to run.
 pub fn smoke_grid() -> Vec<RunSpec> {
     let abe = Platform::IbAbe { cores_per_node: 2 };
     let mut grid = Vec::new();
@@ -789,7 +698,6 @@ pub fn smoke_grid() -> Vec<RunSpec> {
         ),
     ] {
         for (seed, drop_permille) in [(0u64, 0u32), (0x5EED, 50)] {
-            let sharded = matches!(app, AppCase::Jacobi { .. }) && drop_permille == 0;
             grid.push(RunSpec {
                 app,
                 variant: Variant::Ckd,
@@ -798,7 +706,6 @@ pub fn smoke_grid() -> Vec<RunSpec> {
                 iters,
                 seed,
                 drop_permille,
-                shards: if sharded { 2 } else { 1 },
                 backend: BackendSel::Auto,
             });
         }
@@ -852,7 +759,6 @@ pub fn backends_grid() -> Vec<RunSpec> {
                 iters,
                 seed: 0,
                 drop_permille: 0,
-                shards: 1,
                 backend,
             });
         }
@@ -868,29 +774,14 @@ mod tests {
     fn grids_have_the_advertised_shapes() {
         assert_eq!(sweep64_grid().len(), 64, "4 apps × 4 sizes × 4 seeds");
         assert_eq!(table1_grid().len(), 2 * TABLE_SIZES.len());
-        assert_eq!(fig2a_grid().len(), 11, "10 serial points + 1 sharded");
+        assert_eq!(fig2a_grid().len(), 10);
         assert_eq!(fig3b_grid().len(), 10);
         assert_eq!(smoke_grid().len(), 8);
-        // the sharded fig2a point replicates the largest CkDirect point
-        let fig2a = fig2a_grid();
-        let sharded = fig2a[10];
-        assert_eq!(sharded.shards, 4);
-        assert_eq!(
-            RunSpec {
-                shards: 1,
-                ..sharded
-            },
-            fig2a[9],
-            "sharded point must be the serial 256-PE Ckd point's twin"
-        );
-        assert_eq!(smoke_grid()[2].shards, 2, "clean jacobi smoke is sharded");
         // the backend-comparison grid: 4 apps × 4 completion strategies,
         // all clean, all 8 PEs — differing only in platform/backend
         let backends = backends_grid();
         assert_eq!(backends.len(), 16, "4 apps × 4 backends");
-        assert!(backends
-            .iter()
-            .all(|s| s.drop_permille == 0 && s.pes == 8 && s.shards == 1));
+        assert!(backends.iter().all(|s| s.drop_permille == 0 && s.pes == 8));
         assert_eq!(
             backends
                 .iter()
@@ -933,72 +824,33 @@ mod tests {
     fn schema_check_rejects_mangled_files() {
         let records = run_sweep(&[smoke_grid()[0]], 1);
         let good = sweep_json("unit", &records, None);
-        assert!(validate_sweep_json(&good.replace(SCHEMA, "ckd-sweep/v0")).is_err());
+        validate_sweep_json(&good).unwrap();
+        // every other version of the sweep family is refused by name
+        for old in [
+            "ckd-sweep/v0",
+            "ckd-sweep/v1",
+            "ckd-sweep/v3",
+            "ckd-sweep/v4",
+        ] {
+            let e = validate_sweep_json(&good.replace(SCHEMA, old)).unwrap_err();
+            assert!(e.contains(SCHEMA), "{old}: error must name {SCHEMA}: {e}");
+        }
         let e = validate_sweep_json(&good.replace("\"metric_ps\"", "\"m\"")).unwrap_err();
         assert!(
             e.contains("\"metric_ps\""),
             "error must name the field: {e}"
         );
+        let e = validate_sweep_json(&good.replace("\"cq_drains\"", "\"cd\"")).unwrap_err();
+        assert!(
+            e.contains("\"cq_drains\"") && e.contains(SCHEMA),
+            "error must name key and schema: {e}"
+        );
         assert!(validate_sweep_json(&good.replace('}', "")).is_err());
         assert!(validate_sweep_json("{\n}").is_err());
     }
 
-    /// Strip every per-run key from `cut` onwards, rewriting a current
-    /// emission into a faithful older-schema file.
-    fn downversion(s: &str, old_tag: &str, cut_key: &str) -> String {
-        let mut out = String::new();
-        for line in s.replace(SCHEMA, old_tag).lines() {
-            if let (true, Some(cut)) = (
-                line.trim_start().starts_with("{\"app\""),
-                line.find(cut_key),
-            ) {
-                out.push_str(&line[..cut]);
-                out.push_str(&line[line.rfind('}').unwrap()..]);
-            } else {
-                out.push_str(line);
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    #[test]
-    fn schema_check_accepts_older_versions_and_polices_the_version_line() {
-        let records = run_sweep(&[smoke_grid()[0]], 1);
-        let v4 = sweep_json("unit", &records, None);
-        // faithful v3, v2 and v1 files validate
-        let v3 = downversion(&v4, SCHEMA_V3, ", \"backend\"");
-        validate_sweep_json(&v3).unwrap();
-        let v2 = downversion(&v4, SCHEMA_V2, ", \"shards\"");
-        validate_sweep_json(&v2).unwrap();
-        let v1 = downversion(&v4, SCHEMA_V1, ", \"callbacks\"");
-        validate_sweep_json(&v1).unwrap();
-        // a v1 file that smuggles v2 keys is named and shamed
-        let e = validate_sweep_json(&v4.replace(SCHEMA, SCHEMA_V1)).unwrap_err();
-        assert!(e.contains("\"callbacks\""), "error must name the key: {e}");
-        // ...as is a v2 file that smuggles v3 keys
-        let e = validate_sweep_json(&v4.replace(SCHEMA, SCHEMA_V2)).unwrap_err();
-        assert!(e.contains("\"shards\""), "error must name the key: {e}");
-        // ...and a v3 file that smuggles v4 keys
-        let e = validate_sweep_json(&v4.replace(SCHEMA, SCHEMA_V3)).unwrap_err();
-        assert!(e.contains("\"backend\""), "error must name the key: {e}");
-        // a v4 file missing a v2-era key likewise
-        let e = validate_sweep_json(&v4.replace("\"poll_checks\"", "\"pc\"")).unwrap_err();
-        assert!(
-            e.contains("\"poll_checks\""),
-            "error must name the key: {e}"
-        );
-        // ...and a v4 file missing a v4 key names both key and version
-        let e = validate_sweep_json(&v4.replace("\"cq_drains\"", "\"cd\"")).unwrap_err();
-        assert!(
-            e.contains("\"cq_drains\"") && e.contains(SCHEMA),
-            "error must name key and version: {e}"
-        );
-    }
-
     /// The bench gate reads `events_per_sec`/`puts_per_sec` from the host
-    /// block; a file whose host block lost them must fail validation —
-    /// on current files and on v2 archives alike.
+    /// block; a file whose host block lost either must fail validation.
     #[test]
     fn schema_check_requires_throughput_in_host_blocks() {
         let records = run_sweep(&[smoke_grid()[0]], 1);
@@ -1008,19 +860,17 @@ mod tests {
             serial_wall_ns: Some(2_000_000),
             cores: 4,
         };
-        let v4 = sweep_json("unit", &records, Some(&host));
-        validate_sweep_json(&v4).unwrap();
-        let v2 = downversion(&v4, SCHEMA_V2, ", \"shards\"");
-        validate_sweep_json(&v2).unwrap();
-        for file in [v4, v2] {
+        let file = sweep_json("unit", &records, Some(&host));
+        validate_sweep_json(&file).unwrap();
+        for metric in HOST_KEYS {
             let gutted: String = file
                 .lines()
-                .filter(|l| !l.contains("\"events_per_sec\""))
+                .filter(|l| !l.contains(metric))
                 .map(|l| format!("{l}\n"))
                 .collect();
             let e = validate_sweep_json(&gutted).unwrap_err();
             assert!(
-                e.contains("\"events_per_sec\""),
+                e.contains(metric),
                 "error must name the missing host metric: {e}"
             );
         }

@@ -65,8 +65,8 @@ impl Machine {
                 corrupted,
                 inner,
             } => self.rel_deliver(token, link, seq, kind, corrupted, *inner),
-            Ev::RelAck { token, .. } => self.rel_ack(token),
-            Ev::RelTimer { token, attempt, .. } => self.rel_timer(token, attempt),
+            Ev::RelAck { token } => self.rel_ack(token),
+            Ev::RelTimer { token, attempt } => self.rel_timer(token, attempt),
         }
     }
 

@@ -9,7 +9,7 @@
 //! * the machine's deterministic counters (`msgs_sent`, `puts`, byte
 //!   totals, reductions, protocol breakdown — **not** `events`, which
 //!   counts scheduler self-ticks and legitimately varies with poll
-//!   interleaving, and not virtual times, which a lookahead window
+//!   interleaving, and not virtual times, which a commutation window
 //!   legitimately shifts);
 //! * the application's own integral results (iterations completed,
 //!   residual bits, lossy-put count, protocol counters);

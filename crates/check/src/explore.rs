@@ -35,7 +35,7 @@ use crate::policy::{Decision, Prescription};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Outcome {
     /// Deterministic digest of the machine counters and the application's
-    /// own integral results (virtual times excluded — a lookahead window
+    /// own integral results (virtual times excluded — a commutation window
     /// legitimately shifts timing).
     pub digest: String,
     /// Whether the happens-before sanitizer finished with no diagnostics.

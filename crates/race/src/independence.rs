@@ -17,8 +17,8 @@
 
 /// Encoded footprint of one pending event.
 ///
-/// Layout: bit 63 = arrival-class (a remote delivery the PDES engine may
-/// legally reorder), bits 24..=55 = channel resource + 1 (0 = none),
+/// Layout: bit 63 = arrival-class (a remote delivery the checker may
+/// legally reorder within its commutation window), bits 24..=55 = channel resource + 1 (0 = none),
 /// bits 0..=23 = destination PE + 1 (0 only in the reserved unknown tag).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Footprint(u64);

@@ -36,8 +36,7 @@ pub struct EventMeta {
     /// The event's scheduled firing time.
     pub at: Time,
     /// Footprint tag attached via [`EventQueue::push_tagged`] (0 if the
-    /// event was pushed through [`EventQueue::push`] or
-    /// [`EventQueue::push_at_seq`]).
+    /// event was pushed through [`EventQueue::push`]).
     pub tag: u64,
 }
 
@@ -92,12 +91,12 @@ struct Entry {
 }
 
 #[inline]
-pub(crate) fn pack(at: Time, seq: u64) -> u128 {
+fn pack(at: Time, seq: u64) -> u128 {
     ((at.as_ps() as u128) << 64) | seq as u128
 }
 
 #[inline]
-pub(crate) fn key_time(key: u128) -> Time {
+fn key_time(key: u128) -> Time {
     Time::from_ps((key >> 64) as u64)
 }
 
@@ -182,27 +181,40 @@ impl<E> EventQueue<E> {
 
     /// [`EventQueue::push`] with a footprint tag the installed policy (and
     /// the model checker driving it) can read back through [`EventMeta`].
+    ///
+    /// Places `ev` in a slab slot (recycled when one is free) and sifts its
+    /// key into the heap. Every push writes the tag when a policy will read
+    /// it, so a recycled slot can never carry its previous occupant's tag.
     #[inline]
     pub fn push_tagged(&mut self, at: Time, tag: u64, ev: E) {
-        let seq = self.seq;
+        debug_assert!(
+            self.policy.is_some() || at >= self.horizon,
+            "causality violation: scheduling at {at} behind horizon {}",
+            self.horizon
+        );
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = Some(ev);
+                s
+            }
+            None => {
+                let s = self.slots.len() as u32;
+                self.slots.push(Some(ev));
+                s
+            }
+        };
+        if self.policy.is_some() {
+            if self.tags.len() <= slot as usize {
+                self.tags.resize(slot as usize + 1, 0);
+            }
+            self.tags[slot as usize] = tag;
+        }
+        self.heap.push(Entry {
+            key: pack(at, self.seq),
+            slot,
+        });
         self.seq += 1;
-        self.insert(at, seq, tag, ev);
-    }
-
-    /// Schedule `ev` at `at` under a *caller-supplied* sequence number
-    /// instead of the queue's own counter. This is the sharding seam: the
-    /// PDES coordinator assigns one globally monotone sequence across every
-    /// shard's queue so that merging the shards back together reproduces the
-    /// exact `(time, seq)` total order a single serial queue would have used.
-    ///
-    /// The caller must guarantee `seq` is unique across all pushes into this
-    /// queue (packed keys must stay unique for pop order to be total). The
-    /// internal counter is bumped past `seq` so interleaved [`EventQueue::push`]
-    /// calls can never collide.
-    #[inline]
-    pub fn push_at_seq(&mut self, at: Time, seq: u64, ev: E) {
-        self.seq = self.seq.max(seq.saturating_add(1));
-        self.insert(at, seq, 0, ev);
+        self.sift_up(self.heap.len() - 1);
     }
 
     /// Remove and return the earliest event, advancing the horizon to its
@@ -273,33 +285,10 @@ impl<E> EventQueue<E> {
         Some(self.take(entry))
     }
 
-    /// [`EventQueue::pop_before`], but exposing the popped event's sequence
-    /// number alongside its timestamp. The PDES drain path uses this to
-    /// carry each event's original `(time, seq)` key across shard channels
-    /// so the coordinator can merge shards in the serial total order.
-    /// Bypasses any installed policy (shard queues never have one).
-    #[inline]
-    pub fn pop_keyed_before(&mut self, limit: Time) -> Option<(Time, u64, E)> {
-        let root = *self.heap.first()?;
-        if key_time(root.key) > limit {
-            return None;
-        }
-        self.remove_at(0);
-        let seq = root.key as u64;
-        let (at, ev) = self.take(root);
-        Some((at, seq, ev))
-    }
-
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.first().map(|e| key_time(e.key))
-    }
-
-    /// `(time, seq)` key of the earliest pending event, if any.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(Time, u64)> {
-        self.heap.first().map(|e| (key_time(e.key), e.key as u64))
     }
 
     /// Number of pending events.
@@ -333,41 +322,6 @@ impl<E> EventQueue<E> {
     }
 
     // ---- internals --------------------------------------------------------
-
-    /// Place `ev` in a slab slot (recycled when one is free), record its
-    /// footprint tag when a policy will read it, and sift its key into the
-    /// heap. Every push goes through here, so a recycled slot can never
-    /// carry its previous occupant's tag.
-    #[inline]
-    fn insert(&mut self, at: Time, seq: u64, tag: u64, ev: E) {
-        debug_assert!(
-            self.policy.is_some() || at >= self.horizon,
-            "causality violation: scheduling at {at} behind horizon {}",
-            self.horizon
-        );
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(ev);
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(Some(ev));
-                s
-            }
-        };
-        if self.policy.is_some() {
-            if self.tags.len() <= slot as usize {
-                self.tags.resize(slot as usize + 1, 0);
-            }
-            self.tags[slot as usize] = tag;
-        }
-        self.heap.push(Entry {
-            key: pack(at, seq),
-            slot,
-        });
-        self.sift_up(self.heap.len() - 1);
-    }
 
     /// Drop the entry at heap index `i`, restoring the heap property.
     ///
@@ -611,52 +565,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Time::from_ns(10), 1)));
     }
 
-    #[test]
-    fn caller_supplied_seqs_define_the_tie_order() {
-        let mut q = EventQueue::new();
-        // Push out of seq order at one timestamp: pops must follow the
-        // caller's seq, not arrival order.
-        q.push_at_seq(Time::from_ns(5), 7, "late");
-        q.push_at_seq(Time::from_ns(5), 2, "early");
-        q.push_at_seq(Time::from_ns(1), 9, "first");
-        assert_eq!(q.peek_key(), Some((Time::from_ns(1), 9)));
-        assert_eq!(
-            q.pop_keyed_before(Time::MAX),
-            Some((Time::from_ns(1), 9, "first"))
-        );
-        assert_eq!(
-            q.pop_keyed_before(Time::MAX),
-            Some((Time::from_ns(5), 2, "early"))
-        );
-        // The internal counter must have advanced past every supplied seq,
-        // so a plain push cannot collide with seq 7 still in the heap.
-        q.push(Time::from_ns(5), "plain");
-        assert_eq!(
-            q.pop_keyed_before(Time::MAX),
-            Some((Time::from_ns(5), 7, "late"))
-        );
-        let (t, seq, ev) = q.pop_keyed_before(Time::MAX).unwrap();
-        assert_eq!((t, ev), (Time::from_ns(5), "plain"));
-        assert!(seq >= 10, "plain push reused a low seq: {seq}");
-        assert_eq!(q.pop_keyed_before(Time::MAX), None);
-        assert_eq!(q.events_processed(), 4);
-        assert_eq!(q.horizon(), Time::from_ns(5));
-    }
-
-    #[test]
-    fn pop_keyed_before_respects_the_limit() {
-        let mut q = EventQueue::new();
-        q.push_at_seq(Time::from_ns(10), 0, "a");
-        q.push_at_seq(Time::from_ns(30), 1, "b");
-        assert_eq!(q.pop_keyed_before(Time::from_ns(9)), None);
-        assert_eq!(
-            q.pop_keyed_before(Time::from_ns(10)),
-            Some((Time::from_ns(10), 0, "a"))
-        );
-        assert_eq!(q.pop_keyed_before(Time::from_ns(29)), None);
-        assert_eq!(q.peek_key(), Some((Time::from_ns(30), 1)));
-    }
-
     /// Every heap size from empty to seven levels, under four key shapes,
     /// removing at every heap index: the heap must stay valid and the
     /// drain must equal the sorted `(time, seq)` list minus the removed
@@ -692,12 +600,11 @@ mod tests {
                     keys.sort_unstable();
                     keys
                 };
+                // each payload is its own push seq, so a drain of
+                // `(time, payload)` pairs is a drain of `(time, seq)` keys
                 let drain = |mut q: EventQueue<usize>| -> Vec<(Time, u64)> {
-                    std::iter::from_fn(|| q.pop_keyed_before(Time::MAX))
-                        .map(|(t, seq, ev)| {
-                            assert_eq!(seq, ev as u64, "n={n} {shape}: payload/key mismatch");
-                            (t, seq)
-                        })
+                    std::iter::from_fn(|| q.pop())
+                        .map(|(t, seq)| (t, seq as u64))
                         .collect()
                 };
                 let q = build();
@@ -737,18 +644,18 @@ mod tests {
     }
 
     #[test]
-    fn push_at_seq_into_a_recycled_slot_carries_tag_zero() {
+    fn untagged_push_into_a_recycled_slot_carries_tag_zero() {
         let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let mut q = EventQueue::new();
         q.set_policy(Box::new(RecordTags(seen.clone())));
         q.push_tagged(Time::from_ns(1), 7, "tagged");
         assert_eq!(q.pop(), Some((Time::from_ns(1), "tagged")));
         // slot 0 is free again; the untagged push recycles it
-        q.push_at_seq(Time::from_ns(2), 100, "at-seq");
+        q.push(Time::from_ns(2), "untagged");
         q.push_tagged(Time::from_ns(2), 9, "fresh");
         assert_eq!(q.slab_slots(), 2);
-        // seq 100 sorts first; the policy sees both candidates' tags
-        assert_eq!(q.pop(), Some((Time::from_ns(2), "at-seq")));
+        // the untagged push sorts first; the policy sees both candidates' tags
+        assert_eq!(q.pop(), Some((Time::from_ns(2), "untagged")));
         assert_eq!(*seen.borrow(), vec![vec![0, 9]], "stale tag leaked");
     }
 

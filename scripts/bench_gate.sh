@@ -34,7 +34,8 @@
 #  5. Backend-comparison trajectory: a fresh `ckd-sweep backends` run
 #     (4 apps x 4 completion backends) must reproduce the committed
 #     BENCH_backends.json deterministic section byte-for-byte and
-#     validate against the v4 schema (per-run `backend`/`cq_drains`).
+#     validate against the ckd-sweep/v5 schema (per-run
+#     `backend`/`cq_drains`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,7 +113,7 @@ fi
 echo "bench_gate: channel storm identical to baseline; per-sweep host cost flat across the herd"
 
 # Check 5: the backend-comparison trajectory (deterministic section +
-# v4 schema, which carries the per-run backend/cq_drains fields).
+# v5 schema, which carries the per-run backend/cq_drains fields).
 BK_BASELINE=BENCH_backends.json
 if [ ! -f "$BK_BASELINE" ]; then
     echo "bench_gate: no committed $BK_BASELINE baseline" >&2
@@ -129,12 +130,12 @@ if ! diff <(runs_of "$BK_BASELINE") <(runs_of "$BK_FRESH") >/dev/null; then
     exit 1
 fi
 ./target/release/ckd-sweep validate "$BK_FRESH" >/dev/null 2>&1
-if ! grep -q '"schema": "ckd-sweep/v4"' "$BK_FRESH"; then
-    echo "bench_gate: fresh backend grid is not schema v4" >&2
+if ! grep -q '"schema": "ckd-sweep/v5"' "$BK_FRESH"; then
+    echo "bench_gate: fresh backend grid is not schema v5" >&2
     exit 1
 fi
 if ! grep -q '"backend": "notified-put"' "$BK_FRESH"; then
     echo "bench_gate: backend grid lost its notified-put points" >&2
     exit 1
 fi
-echo "bench_gate: backend grid identical to baseline; v4 schema with all four backends"
+echo "bench_gate: backend grid identical to baseline; v5 schema with all four backends"

@@ -79,27 +79,22 @@ run cargo test --release --offline -q --test backend_conformance
 
 # Sweep engine: a tiny grid on 2 workers must merge byte-identical to the
 # 1-worker pass, the committed trajectory files must parse against the
-# ckd-sweep schema (v1 through v4), and the full 64-run sweep must
+# ckd-sweep/v5 schema, and the full 64-run sweep must
 # reproduce the committed virtual-time baseline within the host-tolerant
 # wall and throughput budgets.
 run ./target/release/ckd-sweep smoke --workers 2
 
-# PDES smoke: a small traced Jacobi on the 2-shard conservative-lookahead
-# engine must export byte-identical trace/summary/stats to the serial run
-# (the one-command version of tests/pdes_determinism.rs).
-run ./target/release/ckd-sweep pdes
-
 # Backend-comparison smoke: the 16-point grid behind BENCH_backends.json
 # (4 apps x 4 completion backends) must run on 2 workers and emit a valid
-# v4 file; bench_gate.sh byte-compares it against the committed baseline.
+# v5 file; bench_gate.sh byte-compares it against the committed baseline.
 run ./target/release/ckd-sweep backends --workers 2 \
     --out target/BENCH_backends_fresh.json
 
 # Channel-storm smoke: 100k persistent channels registered on one PE with
 # a 64-channel active window must complete, tear down every slab slot,
-# stay byte-identical across the serial and 2-shard PDES engines, and —
-# the point of the sharded poll rings — keep per-sweep host cost flat
-# while the registered herd grows 100x. All asserted inside the binary.
+# stay byte-identical across repeats, and — the point of the sharded
+# poll rings — keep per-sweep host cost flat while the registered herd
+# grows 100x. All asserted inside the binary.
 run ./target/release/ckd-sweep channels --out target/BENCH_channels_fresh.json
 run ./target/release/ckd-sweep validate \
     BENCH_table1.json BENCH_jacobi.json BENCH_matmul.json BENCH_sweep.json \
@@ -119,14 +114,6 @@ run ./target/release/ckd-sweep profile --workers 2
 # racy mutants while every correct app stays clean.
 run ./target/release/ckd-check certify --budget 48 --out target/ckd-check-cert.json
 run ./target/release/ckd-check validate target/ckd-check-cert.json
-# ...and again over the PDES safe window: exploring schedules within the
-# sharded engine's round width (the IB fabric's 4550 ns minimum cross-node
-# latency) must still find every interleaving result-equivalent, i.e. the
-# independence certificates cover exactly the reorderings sharded rounds
-# could ever expose.
-run ./target/release/ckd-check certify --window-ns 4550 --budget 48 \
-    --out target/ckd-check-pdes-cert.json
-run ./target/release/ckd-check validate target/ckd-check-pdes-cert.json
 run ./target/release/ckd-check mutant --budget 16
 run ./target/release/ckd-check lint --gate crates/apps/src
 
