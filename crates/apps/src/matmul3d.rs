@@ -62,10 +62,11 @@ struct HandleMsg {
     handle: HandleId,
 }
 
-/// Block payload for the MSG variant.
+/// Block payload for the MSG variant. `data` is `None` for stand-in
+/// blocks (`real_compute` off): only the modeled size crosses the wire.
 struct BlockMsg {
     kind: Kind,
-    data: Bytes,
+    data: Option<Bytes>,
 }
 
 /// Configuration of one matmul run.
@@ -290,9 +291,7 @@ impl MatmulChare {
         };
         match self.cfg.variant {
             Variant::Msg => {
-                let data = block
-                    .as_ref()
-                    .map_or_else(|| Bytes::from(vec![0u8; 64]), Self::mat_to_bytes);
+                let data = block.as_ref().map(Self::mat_to_bytes);
                 let c = self.cfg.grid;
                 let [x, y, z] = self.pos;
                 for k in 1..c {
@@ -419,9 +418,9 @@ impl MatmulChare {
         match self.cfg.variant {
             Variant::Msg => {
                 let data = if self.cfg.real_compute {
-                    Self::mat_to_bytes(self.c.as_ref().unwrap())
+                    Some(Self::mat_to_bytes(self.c.as_ref().unwrap()))
                 } else {
-                    Bytes::from(vec![0u8; 64])
+                    None
                 };
                 let home = ctx.element(ctx.me().array, Idx::i3(x, y, 0));
                 ctx.send(
@@ -644,18 +643,18 @@ impl Chare for MatmulChare {
                 }
                 match bm.kind {
                     Kind::A => {
-                        self.a_bytes = Some(bm.data.clone());
+                        self.a_bytes = bm.data.clone();
                         self.got_a = true;
                         self.maybe_compute(ctx);
                     }
                     Kind::B => {
-                        self.b_bytes = Some(bm.data.clone());
+                        self.b_bytes = bm.data.clone();
                         self.got_b = true;
                         self.maybe_compute(ctx);
                     }
                     Kind::C(z) => {
-                        if self.cfg.real_compute {
-                            self.c_parts[z] = Some(Self::bytes_to_vec(&bm.data));
+                        if let Some(data) = &bm.data {
+                            self.c_parts[z] = Some(Self::bytes_to_vec(data));
                         }
                         self.c_in += 1;
                         self.maybe_home_done(ctx);

@@ -247,7 +247,7 @@ impl PcChare {
         for k in 0..self.cfg.grain {
             let s = bi * self.cfg.grain + k;
             let gs = ctx.element(gs_array, Idx::i2(s, p));
-            ctx.send(gs, Msg::value(EP_RESULT, (), wire));
+            ctx.send(gs, Msg::sized(EP_RESULT, wire));
         }
     }
 }
@@ -360,7 +360,7 @@ impl Chare for Gs {
                     let partner = ctx.element(gs_arr, Idx::i2(partner_s, self.inner.p));
                     ctx.send(
                         partner,
-                        Msg::value(EP_TRANSPOSE, (), self.inner.cfg.points_bytes()),
+                        Msg::sized(EP_TRANSPOSE, self.inner.cfg.points_bytes()),
                     );
                     self.inner.phase1_done = true;
                     self.inner.maybe_phase2(ctx, pc_array);

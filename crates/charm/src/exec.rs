@@ -61,10 +61,9 @@ impl Machine {
                 token,
                 link,
                 seq,
-                kind,
                 corrupted,
-                inner,
-            } => self.rel_deliver(token, link, seq, kind, corrupted, *inner),
+                handle,
+            } => self.rel_deliver(token, link, seq, corrupted, handle),
             Ev::RelAck { token } => self.rel_ack(token),
             Ev::RelTimer { token, attempt } => self.rel_timer(token, attempt),
         }
@@ -633,8 +632,9 @@ impl Machine {
     /// Broadcast arriving at `pe`: forward down the tree, then enqueue a
     /// message for every local element.
     fn bcast_at(&mut self, array: ArrayId, pe: Pe, ep: EntryId, payload: Payload, size: usize) {
-        let children = tree_children(&self.arrays[array.idx()].participants, pe);
-        for child in children {
+        // taken out for the walk (nothing below reads it), like `locals`
+        let participants = std::mem::take(&mut self.arrays[array.idx()].participants);
+        for &child in tree_children(&participants, pe) {
             let t = self.net.control(pe, child);
             self.record_control(pe, t.delay);
             let st = &mut self.pes[pe.idx()];
@@ -654,6 +654,7 @@ impl Machine {
                 },
             );
         }
+        self.arrays[array.idx()].participants = participants;
         let lins = std::mem::take(&mut self.locals[array.idx()][pe.idx()]);
         for &lin in &lins {
             self.pes[pe.idx()].queue.push_back((

@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 
 use ckd_net::{NetModel, Protocol, RelStats, RetryPolicy};
 use ckd_race::{Footprint, Sanitizer, SanitizerConfig};
-use ckd_sim::{EventQueue, FaultCounts, FaultOp, FaultPlan, ReorderPolicy, Time};
+use ckd_sim::{EventQueue, FaultCounts, FaultPlan, ReorderPolicy, Time};
 use ckd_topo::{Dims, Idx, Mapper, Pe};
 use ckd_trace::{Phase, ProfConfig, Profiler, ProtoClass, Snapshot, TraceConfig, Tracer};
 use ckdirect::{DirectConfig, DirectRegistry, HandleId, RegistryCounters};
@@ -120,17 +120,18 @@ pub(crate) enum Ev {
         /// Sanitizer happens-before edge token (0 when disabled).
         edge: u64,
     },
-    /// Fault-plane arrival of a reliable packet: carries the real delivery
-    /// event (`inner`) plus the protocol header the receiver checks. Fresh
-    /// and intact ⇒ dispatch `inner` at this very instant (identical timing
-    /// to the unfaulted run); corrupted or duplicated ⇒ discard.
+    /// Fault-plane arrival of a reliable packet: the protocol header the
+    /// receiver checks. Fresh and intact ⇒ dispatch the packet's delivery
+    /// event, held in the sender's pending entry, at this very instant
+    /// (identical timing to the unfaulted run); corrupted or duplicated ⇒
+    /// discard. `handle` is the channel of a one-sided put (`Some` iff the
+    /// packet is a [`ckd_sim::FaultOp::Put`]).
     RelDeliver {
         token: u64,
         link: (u32, u32),
         seq: u64,
-        kind: FaultOp,
         corrupted: bool,
-        inner: Box<Ev>,
+        handle: Option<HandleId>,
     },
     /// A reliability ack reached the sender: retire the pending packet.
     /// Charges no PE time and emits no trace record — pure NIC protocol.
@@ -360,6 +361,13 @@ impl Machine {
             .rel
             .as_ref()
             .map(|r| (r.seqs.links(), r.seqs.retained()))
+    }
+
+    /// Slots in the reliability layer's pending ring, from the oldest
+    /// unacked packet to the newest (0 when faults are off). Every packet
+    /// is acked by quiescence, so a finished run reads 0.
+    pub fn rel_pending_len(&self) -> usize {
+        self.stack.rel.as_ref().map_or(0, |r| r.pending_len())
     }
 
     /// The put-completion backend in use.

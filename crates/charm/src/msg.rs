@@ -23,7 +23,7 @@ impl std::fmt::Debug for EntryId {
 /// without serialization while bulk data uses real byte buffers.
 #[derive(Clone)]
 pub enum Payload {
-    /// No payload (signals, barriers).
+    /// No payload (signals, barriers, and [`Msg::sized`] stand-ins).
     Empty,
     /// Bulk bytes — really transferred, really received.
     Bytes(Bytes),
@@ -98,6 +98,18 @@ impl Msg {
         }
     }
 
+    /// A signal that the wire model charges as `modeled_size` payload
+    /// bytes. Stand-in payloads (a ghost face or a transpose whose bytes no
+    /// handler reads) ride as this: the simulated transfer is the same as
+    /// for a value of that size, and the host allocates nothing.
+    pub fn sized(ep: EntryId, modeled_size: usize) -> Msg {
+        Msg {
+            ep,
+            payload: Payload::Empty,
+            size: modeled_size,
+        }
+    }
+
     /// A typed control message with an explicitly modeled size.
     pub fn value<T: Any>(ep: EntryId, v: T, modeled_size: usize) -> Msg {
         Msg {
@@ -118,6 +130,14 @@ mod tests {
         assert_eq!(m.ep, EntryId(3));
         assert_eq!(m.size, 0);
         assert!(matches!(m.payload, Payload::Empty));
+    }
+
+    #[test]
+    fn sized_is_empty_but_charged() {
+        let m = Msg::sized(EntryId(4), 4096);
+        assert_eq!(m.size, 4096);
+        assert!(matches!(m.payload, Payload::Empty));
+        assert!(m.payload.bytes().is_none());
     }
 
     #[test]

@@ -93,14 +93,12 @@ pub fn tree_parent(participants: &[Pe], pe: Pe) -> Option<Pe> {
     }
 }
 
-/// Child PEs of `pe` in the tree.
-pub fn tree_children(participants: &[Pe], pe: Pe) -> Vec<Pe> {
-    let r = tree_rank(participants, pe);
-    (1..=TREE_ARITY)
-        .map(|k| TREE_ARITY * r + k)
-        .take_while(|&c| c < participants.len())
-        .map(|c| participants[c])
-        .collect()
+/// Child PEs of `pe` in the tree. A node's children are a contiguous run
+/// of the participant list, so this is a sub-slice: reductions and
+/// broadcasts walk the tree on every hop and must not allocate.
+pub fn tree_children(participants: &[Pe], pe: Pe) -> &[Pe] {
+    let first = (TREE_ARITY * tree_rank(participants, pe) + 1).min(participants.len());
+    &participants[first..(first + TREE_ARITY).min(participants.len())]
 }
 
 /// Per-(PE, array) reduction bookkeeping.
@@ -230,10 +228,12 @@ mod tests {
         }
         assert_eq!(tree_parent(&ps, Pe(5)), Some(Pe(1)));
         let kids0 = tree_children(&ps, Pe(0));
-        assert_eq!(kids0, vec![Pe(1), Pe(2), Pe(3), Pe(4)]);
+        assert_eq!(kids0, [Pe(1), Pe(2), Pe(3), Pe(4)]);
         let kids2 = tree_children(&ps, Pe(2));
-        assert_eq!(kids2, vec![Pe(9), Pe(10), Pe(11), Pe(12)]);
+        assert_eq!(kids2, [Pe(9), Pe(10), Pe(11), Pe(12)]);
         assert!(tree_children(&ps, Pe(12)).is_empty());
+        // a partial last level
+        assert_eq!(tree_children(&ps[..11], Pe(2)), [Pe(9), Pe(10)]);
     }
 
     #[test]
@@ -242,10 +242,7 @@ mod tests {
         let ps = vec![Pe(3), Pe(17), Pe(30), Pe(31), Pe(90)];
         assert_eq!(tree_parent(&ps, Pe(3)), None);
         assert_eq!(tree_parent(&ps, Pe(90)), Some(Pe(3)));
-        assert_eq!(
-            tree_children(&ps, Pe(3)),
-            vec![Pe(17), Pe(30), Pe(31), Pe(90)]
-        );
+        assert_eq!(tree_children(&ps, Pe(3)), [Pe(17), Pe(30), Pe(31), Pe(90)]);
     }
 
     #[test]

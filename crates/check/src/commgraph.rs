@@ -2,9 +2,10 @@
 //!
 //! For each application source file the extractor recovers the entry-point
 //! graph: every `match msg.ep { EP_X => … }` arm becomes a node, and every
-//! `EP_Y` mentioned inside an arm (a `Msg::signal(EP_Y)` / `Msg::value(EP_Y,
-//! …)` send) becomes an edge `EP_X → EP_Y`. The one-sided plane is folded
-//! in through two synthetic nodes: an arm or callback that issues a
+//! `EP_Y` mentioned inside an arm (a `Msg::signal(EP_Y)` /
+//! `Msg::sized(EP_Y, …)` / `Msg::value(EP_Y, …)` send) becomes an edge
+//! `EP_X → EP_Y`. The one-sided plane is folded in through two synthetic
+//! nodes: an arm or callback that issues a
 //! `direct_put` gets an edge to `<put>`, the `direct_callback` body is the
 //! `<callback>` node with edges to whatever it sends, and `<put>` →
 //! `<callback>` closes the loop (a put completes by firing the receiver's

@@ -71,6 +71,11 @@ run cargo test --release --offline -q --test sanitizer_races
 run cargo test --release --offline -q --test fault_recovery
 run cargo test --release --offline -q --test trace_determinism
 
+# Steady-state allocation gate, on the release build the benchmark
+# measures: stand-in messages and reliable packets must not allocate on
+# the host per message (a counting global allocator, per-thread switch).
+run cargo test --release --offline -q --test alloc_steady_state
+
 # Cross-backend differential conformance: all four completion backends
 # (sentinel polling, DCMF callbacks, notified puts, shared-mem flags)
 # must deliver identical data/callbacks on the same apps, each with its
